@@ -67,7 +67,7 @@ net::ClusterStatus Replicator::status() const {
     const util::MutexLock lock(peer->mutex);
     p.state = peer->state;
     p.peer_version = peer->version;
-    p.queued = peer->queue.size();
+    p.queued = peer->queue.size() + peer->in_flight;
     p.sent = peer->sent;
     p.acked = peer->acked;
     p.dropped = peer->dropped;
@@ -153,6 +153,7 @@ void Replicator::sender_loop(Peer& peer) {
         batch.push_back(std::move(peer.queue.front()));
         peer.queue.pop_front();
       }
+      peer.in_flight = batch.size();
     }
     if (batch.empty()) continue;  // woken by stop()
     if (!peer_tracing)
@@ -162,6 +163,7 @@ void Replicator::sender_loop(Peer& peer) {
       const std::vector<net::ReplAck> acks = client.repl_insert_batch(batch);
       backoff.reset();
       const util::MutexLock lock(peer.mutex);
+      peer.in_flight = 0;
       peer.sent += batch.size();
       for (const net::ReplAck& ack : acks)
         if (ack.applied) ++peer.acked;
@@ -174,6 +176,7 @@ void Replicator::sender_loop(Peer& peer) {
       {
         const util::MutexLock lock(peer.mutex);
         ++peer.send_errors;
+        peer.in_flight = 0;
         peer.state = "connecting";
         for (auto it = batch.rbegin(); it != batch.rend(); ++it)
           peer.queue.push_front(std::move(*it));

@@ -81,6 +81,9 @@ private:
     /// Internally synchronized; always signalled with `mutex` held.
     MEDCC_NOT_GUARDED std::condition_variable cv;
     std::deque<net::ReplRecord> queue MEDCC_GUARDED_BY(mutex);
+    /// Records taken off `queue` for the burst on the wire; status()
+    /// counts them as queued until they are acked or requeued.
+    std::size_t in_flight MEDCC_GUARDED_BY(mutex) = 0;
     std::string state MEDCC_GUARDED_BY(mutex) = "connecting";
     std::uint16_t version MEDCC_GUARDED_BY(mutex) = 0;
     std::uint64_t sent MEDCC_GUARDED_BY(mutex) = 0;

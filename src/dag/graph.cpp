@@ -110,31 +110,34 @@ std::vector<NodeId> Dag::sinks() const {
   return result;
 }
 
-std::optional<std::vector<NodeId>> Dag::topological_order() const {
+Dag::TopoCache Dag::topo_cache() const {
   const util::MutexLock lock(topo_mutex_);
   if (!topo_cache_) {
     topo_cache_ = std::make_shared<const std::optional<std::vector<NodeId>>>(
         compute_topological_order());
   }
-  return *topo_cache_;
+  return topo_cache_;
 }
 
+std::optional<std::vector<NodeId>> Dag::topological_order() const {
+  return *topo_cache();
+}
+
+bool Dag::is_acyclic() const { return topo_cache()->has_value(); }
+
 std::optional<std::vector<NodeId>> Dag::compute_topological_order() const {
+  // Kahn's algorithm; `order` doubles as the FIFO of ready nodes.
   std::vector<std::size_t> pending(node_count());
-  std::queue<NodeId> ready;
-  for (NodeId v = 0; v < node_count(); ++v) {
-    pending[v] = in_degree(v);
-    if (pending[v] == 0) ready.push(v);
-  }
   std::vector<NodeId> order;
   order.reserve(node_count());
-  while (!ready.empty()) {
-    const NodeId v = ready.front();
-    ready.pop();
-    order.push_back(v);
-    for (EdgeId e : out_edges(v)) {
+  for (NodeId v = 0; v < node_count(); ++v) {
+    pending[v] = in_degree(v);
+    if (pending[v] == 0) order.push_back(v);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (EdgeId e : out_edges(order[head])) {
       const NodeId succ = edges_[e].dst;
-      if (--pending[succ] == 0) ready.push(succ);
+      if (--pending[succ] == 0) order.push_back(succ);
     }
   }
   if (order.size() != node_count()) return std::nullopt;  // cycle

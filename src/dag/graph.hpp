@@ -89,9 +89,8 @@ public:
   /// add_edge invalidates it.
   [[nodiscard]] std::optional<std::vector<NodeId>> topological_order() const;
 
-  [[nodiscard]] bool is_acyclic() const {
-    return topological_order().has_value();
-  }
+  /// Same memoized verdict as topological_order(), without copying it.
+  [[nodiscard]] bool is_acyclic() const;
 
   /// True if `target` is reachable from `origin` along directed edges.
   [[nodiscard]] bool reachable(NodeId origin, NodeId target) const;
@@ -109,6 +108,8 @@ private:
   [[nodiscard]] std::optional<std::vector<NodeId>>
   compute_topological_order() const;
   [[nodiscard]] TopoCache topo_cache_snapshot() const;
+  /// The memoized order, computed on first use.
+  [[nodiscard]] TopoCache topo_cache() const;
   void invalidate_topo_cache();
 
   /// The graph structure itself is NOT internally synchronized:

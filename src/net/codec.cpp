@@ -44,78 +44,11 @@ const char* to_string(WireError code) {
 
 // -- primitives -----------------------------------------------------------
 
-void WireWriter::u8(std::uint8_t v) {
-  out_.push_back(static_cast<char>(v));
-}
-
-void WireWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void WireWriter::str(std::string_view s) {
-  MEDCC_EXPECTS(s.size() <= kMaxString);
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
-}
-
-std::uint8_t WireReader::u8() {
-  if (remaining() < 1) fail(WireError::truncated, "wire: truncated u8");
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint16_t WireReader::u16() {
-  const std::uint16_t lo = u8();
-  const std::uint16_t hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t WireReader::u32() {
-  const std::uint32_t lo = u16();
-  const std::uint32_t hi = u16();
-  return lo | (hi << 16);
-}
-
-std::uint64_t WireReader::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-double WireReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string WireReader::str(std::size_t max_len) {
-  const std::uint32_t len = u32();
-  if (len > max_len)
-    fail(WireError::limit_exceeded, "wire: string exceeds limit");
-  if (len > remaining()) fail(WireError::truncated, "wire: truncated string");
-  std::string out(data_.substr(pos_, len));
-  pos_ += len;
-  return out;
-}
-
-void WireReader::expect_done() const {
-  if (!done())
-    fail(WireError::trailing_bytes, "wire: trailing bytes after message");
-}
-
-void WireReader::expect_fits(std::uint64_t count,
-                             std::size_t min_bytes_each) const {
-  if (count > remaining() / min_bytes_each)
-    fail(WireError::limit_exceeded,
-         "wire: element count exceeds the bytes present");
+void WireFail::fail(util::ByteFault fault, const std::string& what) {
+  static constexpr WireError kCodes[] = {  // indexed by util::ByteFault
+      WireError::truncated, WireError::limit_exceeded,
+      WireError::trailing_bytes, WireError::limit_exceeded};
+  net::fail(kCodes[static_cast<std::size_t>(fault)], "wire: " + what);
 }
 
 // -- framing --------------------------------------------------------------
@@ -170,25 +103,50 @@ std::optional<FrameHeader> parse_frame_header(std::string_view buffer,
   return header;
 }
 
-std::string encode_frame(FrameType type, std::uint64_t request_id,
-                         std::string_view body) {
-  MEDCC_EXPECTS(body.size() <= kDefaultMaxBody);
-  WireWriter writer;
+namespace {
+
+/// The sizing pass of make_frame; it also holds every encoded string to
+/// the ceiling decoders enforce.
+struct FrameSizer : util::ByteSizer {
+  void str(std::string_view s) {
+    MEDCC_EXPECTS(s.size() <= kMaxString);
+    ByteSizer::str(s);
+  }
+};
+
+/// Encodes one frame into a single exactly-sized buffer: `body(sink)`
+/// runs once against a FrameSizer to learn the body length, then once
+/// against the writer, right behind the header.
+template <typename Body>
+std::string make_frame(FrameType type, std::uint64_t request_id,
+                       const Body& body) {
+  FrameSizer sizer;
+  body(sizer);
+  MEDCC_EXPECTS(sizer.size() <= kDefaultMaxBody);
+  WireWriter writer(kHeaderSize + sizer.size());
   writer.u32(kMagic);
   writer.u16(version_for(type));
   writer.u16(static_cast<std::uint16_t>(type));
   writer.u64(request_id);
-  writer.u32(static_cast<std::uint32_t>(body.size()));
-  std::string out = writer.take();
-  out.append(body.data(), body.size());
-  return out;
+  writer.u32(static_cast<std::uint32_t>(sizer.size()));
+  body(writer);
+  MEDCC_ENSURES(writer.size() == kHeaderSize + sizer.size());
+  return writer.take();
+}
+
+}  // namespace
+
+std::string encode_frame(FrameType type, std::uint64_t request_id,
+                         std::string_view body) {
+  return make_frame(type, request_id, [&](auto& w) { w.raw(body); });
 }
 
 // -- solve request --------------------------------------------------------
 
 namespace {
 
-void encode_instance(WireWriter& writer, const sched::Instance& instance) {
+template <typename Sink>
+void put_instance(Sink& writer, const sched::Instance& instance) {
   const auto& wf = instance.workflow();
   const auto& graph = wf.graph();
   const auto& catalog = instance.catalog();
@@ -224,12 +182,31 @@ void encode_instance(WireWriter& writer, const sched::Instance& instance) {
   // The exact TE rows of the computing modules (ascending module id):
   // decoding rebuilds through Instance::from_matrix, so measured-matrix
   // and analytic-model instances round-trip identically.
-  const auto computing = wf.computing_modules();
-  writer.u32(static_cast<std::uint32_t>(computing.size()));
+  writer.u32(static_cast<std::uint32_t>(wf.computing_module_count()));
   writer.u32(static_cast<std::uint32_t>(catalog.size()));
-  for (const workflow::NodeId i : computing)
+  for (workflow::NodeId i = 0; i < wf.module_count(); ++i) {
+    if (wf.module(i).is_fixed()) continue;
     for (std::size_t j = 0; j < catalog.size(); ++j)
       writer.f64(instance.time(i, j));
+  }
+}
+
+template <typename Sink>
+void put_solve_request(Sink& writer,
+                       const service::SchedulingRequest& request) {
+  writer.f64(request.budget);
+  writer.f64(request.deadline_ms);
+  writer.str(request.solver);
+  writer.str(request.config);
+  writer.str(request.tenant);
+  put_instance(writer, *request.instance);
+}
+
+template <typename Sink>
+void put_trace_context(Sink& writer, const obs::TraceContext& context) {
+  writer.u64(context.id.hi);
+  writer.u64(context.id.lo);
+  writer.u8(context.sampled ? 1 : 0);
 }
 
 std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
@@ -317,14 +294,8 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
 std::string encode_solve_request(const service::SchedulingRequest& request,
                                  std::uint64_t request_id) {
   MEDCC_EXPECTS(request.instance != nullptr);
-  WireWriter writer;
-  writer.f64(request.budget);
-  writer.f64(request.deadline_ms);
-  writer.str(request.solver);
-  writer.str(request.config);
-  writer.str(request.tenant);
-  encode_instance(writer, *request.instance);
-  return encode_frame(FrameType::solve_request, request_id, writer.bytes());
+  return make_frame(FrameType::solve_request, request_id,
+                    [&](auto& w) { put_solve_request(w, request); });
 }
 
 service::SchedulingRequest decode_solve_request(std::string_view body) {
@@ -343,10 +314,8 @@ service::SchedulingRequest decode_solve_request(std::string_view body) {
 // -- trace context / traced solve ------------------------------------------
 
 void append_trace_context(std::string& out, const obs::TraceContext& context) {
-  WireWriter writer;
-  writer.u64(context.id.hi);
-  writer.u64(context.id.lo);
-  writer.u8(context.sampled ? 1 : 0);
+  WireWriter writer(kTraceContextSize);
+  put_trace_context(writer, context);
   out.append(writer.bytes());
 }
 
@@ -367,12 +336,12 @@ std::string encode_traced_solve_request(
   // Body = 17-byte trace prefix + a verbatim solve_request body, so
   // servers can key the wire cache on (and decoders reuse) the inner
   // bytes unchanged.
-  const std::string inner = encode_solve_request(request, request_id);
-  std::string body;
-  body.reserve(kTraceContextSize + inner.size() - kHeaderSize);
-  append_trace_context(body, context);
-  body.append(inner, kHeaderSize, inner.size() - kHeaderSize);
-  return encode_frame(FrameType::traced_solve_request, request_id, body);
+  MEDCC_EXPECTS(request.instance != nullptr);
+  return make_frame(FrameType::traced_solve_request, request_id,
+                    [&](auto& w) {
+                      put_trace_context(w, context);
+                      put_solve_request(w, request);
+                    });
 }
 
 TracedSolveBody split_traced_solve_request(std::string_view body) {
@@ -389,23 +358,23 @@ TracedSolveBody split_traced_solve_request(std::string_view body) {
 
 std::string encode_solve_response(const service::SchedulingResponse& response,
                                   std::uint64_t request_id) {
-  WireWriter writer;
-  writer.u8(static_cast<std::uint8_t>(response.status));
-  writer.u8(static_cast<std::uint8_t>(response.reject_reason));
-  writer.u8(static_cast<std::uint8_t>(response.cache));
-  writer.u8(0);  // reserved
-  writer.str(response.solver);
-  writer.str(response.error);
-  writer.u64(response.result.iterations);
-  writer.f64(response.result.eval.med);
-  writer.f64(response.result.eval.cost);
-  writer.f64(response.queue_delay_ms);
-  writer.f64(response.solve_ms);
-  const auto& schedule = response.result.schedule.type_of;
-  writer.u32(static_cast<std::uint32_t>(schedule.size()));
-  for (const std::size_t type : schedule)
-    writer.u32(static_cast<std::uint32_t>(type));
-  return encode_frame(FrameType::solve_response, request_id, writer.bytes());
+  return make_frame(FrameType::solve_response, request_id, [&](auto& writer) {
+    writer.u8(static_cast<std::uint8_t>(response.status));
+    writer.u8(static_cast<std::uint8_t>(response.reject_reason));
+    writer.u8(static_cast<std::uint8_t>(response.cache));
+    writer.u8(0);  // reserved
+    writer.str(response.solver);
+    writer.str(response.error);
+    writer.u64(response.result.iterations);
+    writer.f64(response.result.eval.med);
+    writer.f64(response.result.eval.cost);
+    writer.f64(response.queue_delay_ms);
+    writer.f64(response.solve_ms);
+    const auto& schedule = response.result.schedule.type_of;
+    writer.u32(static_cast<std::uint32_t>(schedule.size()));
+    for (const std::size_t type : schedule)
+      writer.u32(static_cast<std::uint32_t>(type));
+  });
 }
 
 service::SchedulingResponse decode_solve_response(std::string_view body) {
@@ -447,9 +416,9 @@ service::SchedulingResponse decode_solve_response(std::string_view body) {
 
 std::string encode_stats_request(StatsFormat format,
                                  std::uint64_t request_id) {
-  WireWriter writer;
-  writer.u8(static_cast<std::uint8_t>(format));
-  return encode_frame(FrameType::stats_request, request_id, writer.bytes());
+  return make_frame(FrameType::stats_request, request_id, [&](auto& w) {
+    w.u8(static_cast<std::uint8_t>(format));
+  });
 }
 
 StatsFormat decode_stats_request(std::string_view body) {
@@ -463,9 +432,8 @@ StatsFormat decode_stats_request(std::string_view body) {
 
 std::string encode_stats_response(std::string_view dump,
                                   std::uint64_t request_id) {
-  WireWriter writer;
-  writer.str(dump);
-  return encode_frame(FrameType::stats_response, request_id, writer.bytes());
+  return make_frame(FrameType::stats_response, request_id,
+                    [&](auto& w) { w.str(dump); });
 }
 
 std::string decode_stats_response(std::string_view body) {
@@ -479,10 +447,10 @@ std::string decode_stats_response(std::string_view body) {
 
 std::string encode_error(WireError code, std::string_view message,
                          std::uint64_t request_id) {
-  WireWriter writer;
-  writer.u16(static_cast<std::uint16_t>(code));
-  writer.str(message);
-  return encode_frame(FrameType::error, request_id, writer.bytes());
+  return make_frame(FrameType::error, request_id, [&](auto& w) {
+    w.u16(static_cast<std::uint16_t>(code));
+    w.str(message);
+  });
 }
 
 WireFault decode_error(std::string_view body) {
@@ -504,11 +472,11 @@ namespace {
 
 std::string encode_hello(FrameType type, const Hello& hello,
                          std::uint64_t request_id) {
-  WireWriter writer;
-  writer.u16(hello.version);
-  writer.u32(hello.features);
-  writer.str(hello.node_id);
-  return encode_frame(type, request_id, writer.bytes());
+  return make_frame(type, request_id, [&](auto& w) {
+    w.u16(hello.version);
+    w.u32(hello.features);
+    w.str(hello.node_id);
+  });
 }
 
 Hello decode_hello(std::string_view body) {
@@ -553,12 +521,11 @@ std::string encode_repl_insert(std::string_view payload,
   // is below the record ceiling). A valid trace context rides as a
   // fixed-size suffix so pre-tracing decoders that reject it do so
   // with a clean trailing_bytes.
-  WireWriter writer;
-  writer.u32(static_cast<std::uint32_t>(payload.size()));
-  std::string body = writer.take();
-  body.append(payload.data(), payload.size());
-  if (trace.valid()) append_trace_context(body, trace);
-  return encode_frame(FrameType::repl_insert, request_id, body);
+  return make_frame(FrameType::repl_insert, request_id, [&](auto& w) {
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.raw(payload);
+    if (trace.valid()) put_trace_context(w, trace);
+  });
 }
 
 ReplRecord decode_repl_insert(std::string_view body) {
@@ -582,10 +549,10 @@ ReplRecord decode_repl_insert(std::string_view body) {
 }
 
 std::string encode_repl_ack(const ReplAck& ack, std::uint64_t request_id) {
-  WireWriter writer;
-  writer.u8(ack.applied ? 1 : 0);
-  writer.str(ack.error);
-  return encode_frame(FrameType::repl_ack, request_id, writer.bytes());
+  return make_frame(FrameType::repl_ack, request_id, [&](auto& w) {
+    w.u8(ack.applied ? 1 : 0);
+    w.str(ack.error);
+  });
 }
 
 ReplAck decode_repl_ack(std::string_view body) {
@@ -614,24 +581,24 @@ std::string encode_cluster_status_request(std::uint64_t request_id) {
 
 std::string encode_cluster_status_response(const ClusterStatus& status,
                                            std::uint64_t request_id) {
-  WireWriter writer;
-  writer.str(status.node_id);
-  writer.u16(status.protocol_version);
-  writer.u64(status.repl_applied);
-  writer.u64(status.repl_apply_errors);
-  writer.u32(static_cast<std::uint32_t>(status.peers.size()));
-  for (const ClusterPeerStatus& peer : status.peers) {
-    writer.str(peer.address);
-    writer.str(peer.state);
-    writer.u16(peer.peer_version);
-    writer.u64(peer.queued);
-    writer.u64(peer.sent);
-    writer.u64(peer.acked);
-    writer.u64(peer.dropped);
-    writer.u64(peer.send_errors);
-  }
-  return encode_frame(FrameType::cluster_status_response, request_id,
-                      writer.bytes());
+  const auto body = [&](auto& writer) {
+    writer.str(status.node_id);
+    writer.u16(status.protocol_version);
+    writer.u64(status.repl_applied);
+    writer.u64(status.repl_apply_errors);
+    writer.u32(static_cast<std::uint32_t>(status.peers.size()));
+    for (const ClusterPeerStatus& peer : status.peers) {
+      writer.str(peer.address);
+      writer.str(peer.state);
+      writer.u16(peer.peer_version);
+      writer.u64(peer.queued);
+      writer.u64(peer.sent);
+      writer.u64(peer.acked);
+      writer.u64(peer.dropped);
+      writer.u64(peer.send_errors);
+    }
+  };
+  return make_frame(FrameType::cluster_status_response, request_id, body);
 }
 
 ClusterStatus decode_cluster_status_response(std::string_view body) {
@@ -666,10 +633,8 @@ ClusterStatus decode_cluster_status_response(std::string_view body) {
 
 std::string encode_trace_dump_request(std::uint32_t max_traces,
                                       std::uint64_t request_id) {
-  WireWriter writer;
-  writer.u32(max_traces);
-  return encode_frame(FrameType::trace_dump_request, request_id,
-                      writer.bytes());
+  return make_frame(FrameType::trace_dump_request, request_id,
+                    [&](auto& w) { w.u32(max_traces); });
 }
 
 std::uint32_t decode_trace_dump_request(std::string_view body) {
@@ -681,35 +646,35 @@ std::uint32_t decode_trace_dump_request(std::string_view body) {
 
 std::string encode_trace_dump_response(const TraceDump& dump,
                                        std::uint64_t request_id) {
-  WireWriter writer;
-  writer.str(dump.node_id);
-  writer.u8(dump.enabled ? 1 : 0);
-  writer.u64(dump.started);
-  writer.u64(dump.sampled);
-  writer.u64(dump.completed);
-  writer.u64(dump.dropped);
-  writer.u32(static_cast<std::uint32_t>(dump.stages.size()));
-  for (const obs::StageStat& stat : dump.stages) {
-    writer.u64(stat.count);
-    writer.u64(stat.total_ns);
-  }
-  writer.u32(static_cast<std::uint32_t>(dump.traces.size()));
-  for (const obs::TraceRecord& trace : dump.traces) {
-    writer.u64(trace.id.hi);
-    writer.u64(trace.id.lo);
-    writer.str(trace.origin);
-    writer.u64(static_cast<std::uint64_t>(trace.started_ns));
-    writer.u64(static_cast<std::uint64_t>(trace.total_ns));
-    writer.u8(trace.slow ? 1 : 0);
-    writer.u32(static_cast<std::uint32_t>(trace.spans.size()));
-    for (const obs::Span& span : trace.spans) {
-      writer.u8(static_cast<std::uint8_t>(span.stage));
-      writer.u64(static_cast<std::uint64_t>(span.start_ns));
-      writer.u64(static_cast<std::uint64_t>(span.end_ns));
+  const auto body = [&](auto& writer) {
+    writer.str(dump.node_id);
+    writer.u8(dump.enabled ? 1 : 0);
+    writer.u64(dump.started);
+    writer.u64(dump.sampled);
+    writer.u64(dump.completed);
+    writer.u64(dump.dropped);
+    writer.u32(static_cast<std::uint32_t>(dump.stages.size()));
+    for (const obs::StageStat& stat : dump.stages) {
+      writer.u64(stat.count);
+      writer.u64(stat.total_ns);
     }
-  }
-  return encode_frame(FrameType::trace_dump_response, request_id,
-                      writer.bytes());
+    writer.u32(static_cast<std::uint32_t>(dump.traces.size()));
+    for (const obs::TraceRecord& trace : dump.traces) {
+      writer.u64(trace.id.hi);
+      writer.u64(trace.id.lo);
+      writer.str(trace.origin);
+      writer.u64(static_cast<std::uint64_t>(trace.started_ns));
+      writer.u64(static_cast<std::uint64_t>(trace.total_ns));
+      writer.u8(trace.slow ? 1 : 0);
+      writer.u32(static_cast<std::uint32_t>(trace.spans.size()));
+      for (const obs::Span& span : trace.spans) {
+        writer.u8(static_cast<std::uint8_t>(span.stage));
+        writer.u64(static_cast<std::uint64_t>(span.start_ns));
+        writer.u64(static_cast<std::uint64_t>(span.end_ns));
+      }
+    }
+  };
+  return make_frame(FrameType::trace_dump_response, request_id, body);
 }
 
 TraceDump decode_trace_dump_response(std::string_view body) {

@@ -29,11 +29,13 @@
 // answer out of order and a client may pipeline many requests on one
 // connection (Client::solve_batch does exactly that).
 //
-// Decoding is fuzz-resistant by construction: every read goes through a
-// bounds-checked WireReader, element counts are validated against the
-// bytes actually present before any allocation, and all failures --
-// truncation, bad magic/version, oversized prefixes, malformed bodies,
-// trailing garbage -- surface as a structured CodecError, never as UB.
+// Encoding sizes every frame exactly and writes it into one buffer,
+// header first. Decoding is fuzz-resistant by construction: every read
+// goes through a bounds-checked WireReader, element counts are
+// validated against the bytes actually present before any allocation,
+// and all failures -- truncation, bad magic/version, oversized
+// prefixes, malformed bodies, trailing garbage -- surface as a
+// structured CodecError, never as UB.
 // The full byte-layout tables live in docs/net.md.
 #pragma once
 
@@ -46,6 +48,7 @@
 
 #include "obs/trace.hpp"
 #include "service/request.hpp"
+#include "util/byte_codec.hpp"
 #include "util/error.hpp"
 
 namespace medcc::net {
@@ -114,6 +117,22 @@ private:
   WireError code_;
 };
 
+// -- primitives (exposed for tests) ---------------------------------------
+
+/// The byte codec's fail policy for wire bodies: a CodecError whose
+/// code is truncated, limit_exceeded (an oversized string or element
+/// count) or trailing_bytes.
+struct WireFail {
+  [[noreturn]] static void fail(util::ByteFault fault, const std::string& what);
+};
+
+/// Append-only little-endian encoder (util/byte_codec.hpp, shared with
+/// the persistence records).
+using WireWriter = util::ByteWriter;
+/// Bounds-checked little-endian decoder over a borrowed buffer; every
+/// failure throws CodecError.
+using WireReader = util::ByteReader<WireFail>;
+
 struct FrameHeader {
   FrameType type = FrameType::error;
   /// Header version the frame arrived with (1 for the legacy types,
@@ -163,8 +182,6 @@ struct FrameHeader {
     std::string_view body);
 
 // -- trace context (tracing extension, protocol v2) ------------------------
-
-class WireReader;  // declared with the primitives below
 
 /// Fixed wire size of one trace context: u64 id hi, u64 id lo, u8 flags
 /// (bit 0 = sampled). In a traced_solve_request the context is the
@@ -287,7 +304,7 @@ struct ClusterPeerStatus {
   std::string address;       ///< "host:port"
   std::string state;         ///< "connected" | "connecting" | "down" | "v1-peer"
   std::uint16_t peer_version = 0;  ///< negotiated version; 0 = no handshake yet
-  std::uint64_t queued = 0;        ///< records waiting in the bounded queue
+  std::uint64_t queued = 0;        ///< records in the queue or on the wire
   std::uint64_t sent = 0;
   std::uint64_t acked = 0;
   std::uint64_t dropped = 0;       ///< bounded-queue overflow drops
@@ -340,54 +357,5 @@ inline constexpr std::uint64_t kMaxDumpSpans = 1024;
 [[nodiscard]] std::string encode_trace_dump_response(
     const TraceDump& dump, std::uint64_t request_id);
 [[nodiscard]] TraceDump decode_trace_dump_response(std::string_view body);
-
-// -- primitives (exposed for tests) ---------------------------------------
-
-/// Append-only little-endian encoder.
-class WireWriter {
-public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  /// IEEE-754 bits via the u64 path: round-trips every double bit-exactly.
-  void f64(double v);
-  /// u32 length prefix + raw bytes.
-  void str(std::string_view s);
-
-  [[nodiscard]] const std::string& bytes() const { return out_; }
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
-private:
-  std::string out_;
-};
-
-/// Bounds-checked little-endian decoder over a borrowed buffer; every
-/// underflow throws CodecError(WireError::truncated).
-class WireReader {
-public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  /// Reads a length-prefixed string of at most `max_len` bytes.
-  [[nodiscard]] std::string str(std::size_t max_len);
-
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-  /// Throws CodecError(trailing_bytes) unless the buffer is exhausted.
-  void expect_done() const;
-  /// Throws CodecError(limit_exceeded) when `count` elements of at least
-  /// `min_bytes_each` cannot possibly fit in the remaining bytes -- the
-  /// guard that keeps hostile counts from driving huge allocations.
-  void expect_fits(std::uint64_t count, std::size_t min_bytes_each) const;
-
-private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace medcc::net

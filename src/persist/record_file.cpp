@@ -15,12 +15,11 @@ std::string encode_file_header(std::uint32_t magic) {
 }
 
 std::string frame_record(std::string_view payload) {
-  Writer writer;
+  Writer writer(kRecordHeaderSize + payload.size());
   writer.u32(static_cast<std::uint32_t>(payload.size()));
   writer.u32(util::crc32(payload));
-  std::string out = writer.take();
-  out.append(payload);
-  return out;
+  writer.raw(payload);
+  return writer.take();
 }
 
 ReadResult parse_record_file(std::string_view bytes, std::uint32_t magic,

@@ -1,20 +1,12 @@
-// Little-endian record-payload primitives for the persistence
-// subsystem, mirroring the bounds-checked decode discipline of the
-// network codec (src/net/codec.hpp): every read goes through a
-// length-checked Reader, element counts are validated against the bytes
-// actually present before any allocation, and every failure --
-// truncation, oversized prefixes, trailing garbage -- surfaces as a
-// structured PersistError, never as UB. The persistence layer sits
-// below src/service in the library graph, so it cannot reuse the
-// net::WireReader/WireWriter types directly; the byte format (LE
-// integers, IEEE-754 doubles via their bit pattern, u32-length-prefixed
-// strings) is identical by construction.
+// Record-payload primitives for the persistence subsystem: the byte
+// codec the network codec also uses (util/byte_codec.hpp), with a fail
+// policy that throws PersistError. Decoding never exhibits UB; every
+// truncation, oversized prefix or trailing byte is a PersistError.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <string_view>
 
+#include "util/byte_codec.hpp"
 #include "util/error.hpp"
 
 namespace medcc::persist {
@@ -26,53 +18,17 @@ public:
   explicit PersistError(const std::string& what) : Error(what) {}
 };
 
+/// The byte codec's fail policy for persisted records.
+struct PersistFail {
+  [[noreturn]] static void fail(util::ByteFault, const std::string& what) {
+    throw PersistError("persist: " + what);
+  }
+};
+
 /// Append-only little-endian encoder.
-class Writer {
-public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  /// IEEE-754 bits via the u64 path: round-trips every double bit-exactly.
-  void f64(double v);
-  /// u32 length prefix + raw bytes.
-  void str(std::string_view s);
-
-  [[nodiscard]] const std::string& bytes() const { return out_; }
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
-private:
-  std::string out_;
-};
-
-/// Bounds-checked little-endian decoder over a borrowed buffer; every
-/// underflow throws PersistError.
-class Reader {
-public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  /// Reads a length-prefixed string of at most `max_len` bytes.
-  [[nodiscard]] std::string str(std::size_t max_len);
-
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-  /// Throws PersistError unless the buffer is exhausted.
-  void expect_done() const;
-  /// Throws PersistError when `count` elements of at least
-  /// `min_bytes_each` cannot possibly fit in the remaining bytes -- the
-  /// guard that keeps corrupt counts from driving huge allocations.
-  void expect_fits(std::uint64_t count, std::size_t min_bytes_each) const;
-
-private:
-  [[nodiscard]] const char* take(std::size_t n);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
+using Writer = util::ByteWriter;
+/// Bounds-checked little-endian decoder; every failure throws
+/// PersistError.
+using Reader = util::ByteReader<PersistFail>;
 
 }  // namespace medcc::persist

@@ -463,6 +463,42 @@ TEST(NetCodec, WireReaderBoundsChecksEveryRead) {
   EXPECT_THROW((void)r3.str(4), CodecError);  // over the caller's max_len
 }
 
+TEST(NetCodec, ShortFixedWidthReadsThrowTruncated) {
+  const std::string bytes(7, '\x5a');
+  for (const std::size_t width : {2u, 4u, 8u}) {
+    for (std::size_t have = 0; have < width; ++have) {
+      WireReader r(std::string_view(bytes).substr(0, have));
+      try {
+        if (width == 2) (void)r.u16();
+        if (width == 4) (void)r.u32();
+        if (width == 8) (void)r.u64();
+        ADD_FAILURE() << "u" << 8 * width << " read from " << have
+                      << " bytes did not throw";
+      } catch (const CodecError& err) {
+        EXPECT_EQ(err.code(), WireError::truncated)
+            << "u" << 8 * width << " from " << have << " bytes";
+      }
+      EXPECT_EQ(r.remaining(), have);  // a failed read consumes nothing
+    }
+  }
+}
+
+TEST(NetCodec, FixedWidthFieldsAreLittleEndian) {
+  WireWriter w;
+  w.u8(0x01);
+  w.u16(0x0302);
+  w.u32(0x07060504u);
+  w.u64(0x0f0e0d0c0b0a0908ULL);
+  EXPECT_EQ(w.bytes(), std::string("\x01\x02\x03\x04\x05\x06\x07\x08"
+                                   "\x09\x0a\x0b\x0c\x0d\x0e\x0f"));
+  WireReader r(w.bytes());
+  EXPECT_EQ(r.u8(), 0x01u);
+  EXPECT_EQ(r.u16(), 0x0302u);
+  EXPECT_EQ(r.u32(), 0x07060504u);
+  EXPECT_EQ(r.u64(), 0x0f0e0d0c0b0a0908ULL);
+  r.expect_done();
+}
+
 TEST(NetCodec, DoublesTravelBitExactly) {
   const double values[] = {0.0, -0.0, 1.0 / 3.0,
                            std::numeric_limits<double>::infinity(),

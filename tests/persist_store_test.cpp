@@ -57,6 +57,27 @@ TEST(RecordFile, EmptyImageIsEmptyNotTruncated) {
   EXPECT_FALSE(read.truncated);
 }
 
+TEST(PersistReader, ShortFixedWidthReadsThrowPersistError) {
+  const std::string bytes(7, '\x5a');
+  for (const std::size_t width : {2u, 4u, 8u}) {
+    for (std::size_t have = 0; have < width; ++have) {
+      Reader r(std::string_view(bytes).substr(0, have));
+      try {
+        if (width == 2) (void)r.u16();
+        if (width == 4) (void)r.u32();
+        if (width == 8) (void)r.u64();
+        ADD_FAILURE() << "u" << 8 * width << " read from " << have
+                      << " bytes did not throw";
+      } catch (const PersistError& err) {
+        EXPECT_NE(std::string(err.what()).find("persist: truncated"),
+                  std::string::npos)
+            << err.what();
+      }
+      EXPECT_EQ(r.remaining(), have);  // a failed read consumes nothing
+    }
+  }
+}
+
 TEST(RecordFile, ShortHeaderIsTruncated) {
   const std::string header = encode_file_header(kJournalMagic);
   for (std::size_t cut = 1; cut < header.size(); ++cut) {

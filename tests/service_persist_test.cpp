@@ -17,6 +17,9 @@
 #include "persist/record_file.hpp"
 #include "persist/wire.hpp"
 #include "sched/instance.hpp"
+#include "sched/solver_registry.hpp"
+#include "service/cache.hpp"
+#include "service/fingerprint.hpp"
 #include "service/persistence.hpp"
 #include "util/atomic_file.hpp"
 #include "workflow/patterns.hpp"
@@ -97,6 +100,25 @@ std::string result_bytes(const SchedulingResponse& response) {
   CacheEntry entry;
   entry.result = response.result;
   return medcc::service::encode_cache_record(entry);
+}
+
+// The persistence twin of NetCodec.EveryTruncationOfAValidBodyThrows-
+// CodecError: every proper prefix of a real cache record is rejected.
+TEST(CacheRecordCodec, EveryTruncationOfAValidRecordThrowsPersistError) {
+  const auto instance = example_instance();
+  const auto* cg = medcc::sched::SolverRegistry::built_in().find("cg");
+  ASSERT_NE(cg, nullptr);
+  const auto fp =
+      medcc::service::fingerprint_instance(*instance, 57.0, "cg", "");
+  const std::string record = medcc::service::encode_cache_record(
+      medcc::service::ResultCache::make_entry(fp, (*cg)(*instance, 57.0)));
+  ASSERT_NO_THROW((void)medcc::service::decode_cache_record(record));
+  for (std::size_t len = 0; len < record.size(); ++len) {
+    EXPECT_THROW((void)medcc::service::decode_cache_record(
+                     std::string_view(record).substr(0, len)),
+                 medcc::persist::PersistError)
+        << "prefix length " << len;
+  }
 }
 
 class ServicePersistTest : public ::testing::Test {

@@ -10,6 +10,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,7 +19,9 @@
 #include <vector>
 
 #include "cluster/config.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
+#include "persist/record_file.hpp"
 #include "sched/instance.hpp"
 #include "service/service.hpp"
 #include "workflow/patterns.hpp"
@@ -119,6 +122,48 @@ TEST(ClusterReplication, PushesSolvedRecordsToPeerServedByteIdentically) {
   expect_bits_equal(hit.result.eval.cost, solved.result.eval.cost);
 
   replicator.stop();
+}
+
+// A peer still on the version-1 cache record (which carried the CPM
+// timing detail) pushes records this build applies and serves. The
+// records are tests/golden/cache_v1_solves.mdjl's: the example workflow
+// solved by cg, gain3 and genetic at B = 57 and by cg at B = 48.
+TEST(ClusterReplication, AppliesVersion1RecordsFromAnOlderPeer) {
+  const auto journal = medcc::persist::read_record_file(
+      std::filesystem::path(__FILE__).parent_path() / "golden" /
+          "cache_v1_solves.mdjl",
+      medcc::persist::kJournalMagic);
+  ASSERT_EQ(journal.payloads.size(), 4u);
+
+  SchedulingService receiver({.threads = 1});
+  ServerConfig receiver_config;
+  receiver_config.repl_apply = [&receiver](std::string_view payload) {
+    return receiver.apply_replicated_record(payload);
+  };
+  Server server(receiver, receiver_config);
+  medcc::net::ClientConfig client_config;
+  client_config.port = server.port();
+  medcc::net::Client client(client_config);
+  const auto acks = client.repl_insert_batch(journal.payloads);
+  ASSERT_EQ(acks.size(), 4u);
+  for (const auto& ack : acks) EXPECT_TRUE(ack.applied) << ack.error;
+  const auto snap = receiver.metrics().snapshot();
+  EXPECT_EQ(snap.repl_applied, 4u);
+  EXPECT_EQ(snap.repl_apply_errors, 0u);
+
+  const auto inst = example_instance();
+  SchedulingService cold({.threads = 1});
+  for (const double budget : {57.0, 48.0}) {
+    const auto hit = receiver.submit(request_for(inst, budget)).get();
+    const auto fresh = cold.submit(request_for(inst, budget)).get();
+    ASSERT_TRUE(hit.ok()) << hit.error;
+    ASSERT_TRUE(fresh.ok()) << fresh.error;
+    EXPECT_EQ(hit.cache, CacheOutcome::hit_exact);
+    EXPECT_EQ(hit.result.schedule, fresh.result.schedule);
+    EXPECT_EQ(hit.result.iterations, fresh.result.iterations);
+    expect_bits_equal(hit.result.eval.med, fresh.result.eval.med);
+    expect_bits_equal(hit.result.eval.cost, fresh.result.eval.cost);
+  }
 }
 
 TEST(ClusterReplication, PeerWithoutReplicationIsHeldAsV1Peer) {

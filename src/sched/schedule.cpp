@@ -1,5 +1,6 @@
 #include "sched/schedule.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "dag/cpm_kernel.hpp"
@@ -15,6 +16,12 @@ std::vector<double> durations(const Instance& inst, const Schedule& schedule) {
     d[i] = inst.time(i, schedule.type_of[i]);
   }
   return d;
+}
+
+bool fits(const Instance& inst, const Schedule& schedule) {
+  return schedule.type_of.size() == inst.module_count() &&
+         std::all_of(schedule.type_of.begin(), schedule.type_of.end(),
+                     [&](std::size_t t) { return t < inst.type_count(); });
 }
 
 Evaluation evaluate(const Instance& inst, const Schedule& schedule) {

@@ -25,6 +25,11 @@ struct Evaluation {
   dag::CpmResult cpm; ///< timing detail (est/eft/lst/lft/buffer/critical)
 };
 
+/// True when `schedule` has one entry per module of `inst` and every
+/// type index is in its catalog: evaluate()'s precondition, for
+/// schedules that come from outside the solver (a cache, a peer).
+[[nodiscard]] bool fits(const Instance& inst, const Schedule& schedule);
+
 /// Evaluates MED and CTotal of `schedule` (Eqs. 8-9).
 [[nodiscard]] Evaluation evaluate(const Instance& inst,
                                   const Schedule& schedule);

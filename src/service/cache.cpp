@@ -49,9 +49,14 @@ std::optional<CacheHit> ResultCache::find(const FingerprintDetail& fp) {
       ++entry.hits;
       hit.emplace();
       hit->exact = entry.exact == fp.exact;
-      hit->result = entry.result;
-      hit->assignment = entry.assignment;
+      hit->result.eval.med = entry.med;
+      hit->result.eval.cost = entry.cost;
+      hit->result.iterations = entry.iterations;
       hit->remappable = entry.remappable;
+      if (hit->exact)
+        hit->result.schedule = entry.schedule;
+      else
+        hit->assignment = entry.assignment;
     }
   }
   if (dropped) notify_expired(1);
@@ -64,7 +69,10 @@ CacheEntry ResultCache::make_entry(const FingerprintDetail& fp,
   entry.key = fp.canonical;
   entry.exact = fp.exact;
   entry.solver = fp.solver;
-  entry.result = result;
+  entry.schedule = result.schedule;
+  entry.med = result.eval.med;
+  entry.cost = result.eval.cost;
+  entry.iterations = result.iterations;
   entry.remappable = fp.modules_distinct && fp.types_distinct;
   if (entry.remappable) {
     entry.assignment.reserve(fp.module_hash.size());

@@ -5,8 +5,9 @@
 // The two kinds are served differently:
 //
 //  * exact hit (the stored order-dependent hash also matches): the stored
-//    Result is returned verbatim -- byte-identical to the fresh solve
-//    that produced it.
+//    schedule is served as is -- the service re-derives its evaluation
+//    and requires the stored MED and cost back bit for bit, so the
+//    response is byte-identical to the fresh solve that produced it.
 //  * isomorphic hit (canonical key matches, layout differs): the stored
 //    assignment is carried across as {module label -> assigned type hash}
 //    pairs and re-indexed through the requesting instance's own labels.
@@ -39,14 +40,16 @@
 
 namespace medcc::service {
 
-/// A successful cache lookup.
+/// A successful cache lookup: a copy of what the hit kind uses.
 struct CacheHit {
-  /// The stored solver result (in the *cached* instance's index space;
-  /// only returned verbatim when `exact`).
+  /// The stored decision: MED, cost and iterations, plus -- for exact
+  /// hits only -- the schedule in the cached instance's index space.
+  /// `eval.cpm` is always empty (the cache does not store it).
   sched::Result result;
   /// The stored layout matches the request index-for-index.
   bool exact = false;
-  /// {module label, assigned type hash} sorted by label, for re-mapping.
+  /// {module label, assigned type hash} sorted by label, for re-mapping;
+  /// copied for isomorphic hits only.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> assignment;
   /// The cached side had pairwise-distinct module and type hashes.
   bool remappable = false;
@@ -54,7 +57,9 @@ struct CacheHit {
 
 /// One cache entry in exportable form: everything the persistence layer
 /// snapshots/journals and everything restore() needs to rebuild the
-/// entry so that warmed hits are byte-identical to live ones.
+/// entry so that warmed hits are byte-identical to live ones. It holds
+/// the decision, not its CPM timing: MED, cost and timing are a pure
+/// function of (instance, schedule), re-derived on every hit.
 struct CacheEntry {
   Fingerprint key;
   /// Order-dependent layout hash; equality with a request's exact hash
@@ -63,16 +68,22 @@ struct CacheEntry {
   /// Solver id that produced the result (metadata for inspection tools;
   /// the canonical key already encodes it).
   std::string solver;
-  sched::Result result;
+  /// Module -> VM type mapping, in the solved instance's index space.
+  sched::Schedule schedule;
+  /// MED and cost the solver reported for `schedule` (Eqs. 8-9); an
+  /// exact hit is served only if re-evaluation reproduces both bits.
+  double med = 0.0;
+  double cost = 0.0;
+  std::size_t iterations = 0;
   /// {module label, assigned type hash} sorted by label.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> assignment;
   bool remappable = false;
   /// Times this entry answered a lookup (hit metadata; persisted).
   std::uint64_t hits = 0;
   /// Insertion timestamp in cache-clock seconds, stamped by the cache
-  /// itself on upsert. Runtime-only: NOT part of the persisted record
-  /// (the cache-record codec is unchanged), so restored and replicated
-  /// entries start a fresh TTL on the receiving node.
+  /// itself on upsert. Runtime-only: NOT part of the persisted record,
+  /// so restored and replicated entries start a fresh TTL on the
+  /// receiving node.
   std::int64_t inserted_at = 0;
 };
 

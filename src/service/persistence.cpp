@@ -9,23 +9,9 @@ namespace medcc::service {
 
 namespace {
 
-void put_f64_vector(persist::Writer& w, const std::vector<double>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const double x : v) w.f64(x);
-}
-
 void put_index_vector(persist::Writer& w, const std::vector<std::size_t>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (const std::size_t x : v) w.u64(x);
-}
-
-std::vector<double> get_f64_vector(persist::Reader& r) {
-  const std::uint32_t count = r.u32();
-  r.expect_fits(count, sizeof(double));
-  std::vector<double> v;
-  v.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) v.push_back(r.f64());
-  return v;
 }
 
 std::vector<std::size_t> get_index_vector(persist::Reader& r,
@@ -41,6 +27,16 @@ std::vector<std::size_t> get_index_vector(persist::Reader& r,
   return v;
 }
 
+/// Steps over version 1's CPM timing block: est, eft, lst, lft and
+/// buffer (f64 each), the critical flags (u8 each) and the critical path
+/// (u64 each), every one a u32 count plus its elements, then the
+/// makespan (f64).
+void skip_v1_cpm(persist::Reader& r) {
+  for (const std::uint64_t width : {8, 8, 8, 8, 8, 1, 8})
+    r.skip(width * r.u32());
+  r.skip(sizeof(double));
+}
+
 }  // namespace
 
 std::string encode_cache_record(const CacheEntry& entry) {
@@ -52,24 +48,10 @@ std::string encode_cache_record(const CacheEntry& entry) {
   w.str(entry.solver);
   w.u8(entry.remappable ? 1 : 0);
   w.u64(entry.hits);
-
-  const sched::Result& result = entry.result;
-  w.u64(result.iterations);
-  w.f64(result.eval.med);
-  w.f64(result.eval.cost);
-  put_index_vector(w, result.schedule.type_of);
-
-  const dag::CpmResult& cpm = result.eval.cpm;
-  put_f64_vector(w, cpm.est);
-  put_f64_vector(w, cpm.eft);
-  put_f64_vector(w, cpm.lst);
-  put_f64_vector(w, cpm.lft);
-  put_f64_vector(w, cpm.buffer);
-  w.u32(static_cast<std::uint32_t>(cpm.critical.size()));
-  for (const bool c : cpm.critical) w.u8(c ? 1 : 0);
-  put_index_vector(w, cpm.critical_path);
-  w.f64(cpm.makespan);
-
+  w.u64(entry.iterations);
+  w.f64(entry.med);
+  w.f64(entry.cost);
+  put_index_vector(w, entry.schedule.type_of);
   w.u32(static_cast<std::uint32_t>(entry.assignment.size()));
   for (const auto& [label, type] : entry.assignment) {
     w.u64(label);
@@ -78,10 +60,14 @@ std::string encode_cache_record(const CacheEntry& entry) {
   return w.take();
 }
 
+std::uint16_t cache_record_version(std::string_view payload) {
+  return persist::Reader(payload).u16();
+}
+
 CacheEntry decode_cache_record(std::string_view payload) {
   persist::Reader r(payload);
   const std::uint16_t version = r.u16();
-  if (version != kCacheRecordVersion)
+  if (version != 1 && version != kCacheRecordVersion)
     throw persist::PersistError("cache record: unsupported payload version " +
                                 std::to_string(version));
 
@@ -92,26 +78,11 @@ CacheEntry decode_cache_record(std::string_view payload) {
   entry.solver = r.str(kMaxPersistedString);
   entry.remappable = r.u8() != 0;
   entry.hits = r.u64();
-
-  sched::Result& result = entry.result;
-  result.iterations = static_cast<std::size_t>(r.u64());
-  result.eval.med = r.f64();
-  result.eval.cost = r.f64();
-  result.schedule.type_of = get_index_vector(r, kMaxPersistedModules);
-
-  dag::CpmResult& cpm = result.eval.cpm;
-  cpm.est = get_f64_vector(r);
-  cpm.eft = get_f64_vector(r);
-  cpm.lst = get_f64_vector(r);
-  cpm.lft = get_f64_vector(r);
-  cpm.buffer = get_f64_vector(r);
-  const std::uint32_t critical_count = r.u32();
-  r.expect_fits(critical_count, 1);
-  cpm.critical.reserve(critical_count);
-  for (std::uint32_t i = 0; i < critical_count; ++i)
-    cpm.critical.push_back(r.u8() != 0);
-  cpm.critical_path = get_index_vector(r, kMaxPersistedModules);
-  cpm.makespan = r.f64();
+  entry.iterations = static_cast<std::size_t>(r.u64());
+  entry.med = r.f64();
+  entry.cost = r.f64();
+  entry.schedule.type_of = get_index_vector(r, kMaxPersistedModules);
+  if (version == 1) skip_v1_cpm(r);
 
   const std::uint32_t assignment_count = r.u32();
   if (assignment_count > kMaxPersistedModules)

@@ -1,7 +1,9 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "sched/verify_hook.hpp"
@@ -18,6 +20,10 @@ double to_ms(std::chrono::steady_clock::duration d) {
 
 double to_seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -292,25 +298,31 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
     tracer->record(request.trace_buffer, obs::Stage::cache_lookup,
                    lookup_start, obs::Tracer::now_ns());
   if (hit) {
-    if (hit->exact) {
-      response.cache = CacheOutcome::hit_exact;
-      response.result = std::move(hit->result);
-      sched::detail::check_schedule_invariants(
-          instance, response.result.schedule, response.result.eval,
-          request.budget, sched::detail::kUnconstrained, "service-cache");
-      return response;
-    }
-    if (auto remapped = remap_schedule(*hit, fp)) {
+    // Both hit kinds serve a stored decision: the schedule as stored
+    // (exact) or re-indexed through the labels (isomorphic). The cache
+    // keeps no CPM timing, so the evaluation is rebuilt here, and only a
+    // schedule that fits this instance is evaluated at all. A stale,
+    // corrupt or colliding entry falls through to a fresh solve.
+    std::optional<sched::Schedule> schedule =
+        hit->exact ? std::move(hit->result.schedule)
+                   : remap_schedule(*hit, fp);
+    if (schedule && sched::fits(instance, *schedule)) {
       sched::Result result;
-      result.schedule = std::move(*remapped);
+      result.schedule = std::move(*schedule);
       result.eval = sched::evaluate(instance, result.schedule);
       result.iterations = hit->result.iterations;
-      // A stale or colliding entry can only surface as an over-budget
-      // re-mapped schedule; fall through to a fresh solve in that case.
-      const double slack =
-          1e-9 * std::max(1.0, std::abs(request.budget));
-      if (result.eval.cost <= request.budget + slack) {
-        response.cache = CacheOutcome::hit_isomorphic;
+      // Every solver ends with this same evaluate call, so an exact hit
+      // must give back the stored MED and cost bit for bit; a re-mapped
+      // schedule must fit the budget.
+      const double slack = 1e-9 * std::max(1.0, std::abs(request.budget));
+      const bool valid =
+          hit->exact
+              ? same_bits(result.eval.med, hit->result.eval.med) &&
+                    same_bits(result.eval.cost, hit->result.eval.cost)
+              : result.eval.cost <= request.budget + slack;
+      if (valid) {
+        response.cache = hit->exact ? CacheOutcome::hit_exact
+                                    : CacheOutcome::hit_isomorphic;
         response.result = std::move(result);
         sched::detail::check_schedule_invariants(
             instance, response.result.schedule, response.result.eval,

@@ -126,6 +126,12 @@ public:
     return out;
   }
 
+  /// Steps over `n` bytes (fails truncated when fewer remain).
+  void skip(std::uint64_t n) {
+    need(n);
+    pos_ += n;
+  }
+
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
   /// Fails (trailing) unless the buffer is exhausted.
@@ -141,7 +147,7 @@ public:
   }
 
 private:
-  void need(std::size_t n) const {
+  void need(std::uint64_t n) const {
     if (remaining() < n) fail(ByteFault::truncated, n, remaining());
   }
 

@@ -91,14 +91,21 @@ TEST(ResultCache, MissThenExactHit) {
   const auto fp = fp_of(inst, 50.0);
   EXPECT_FALSE(cache.find(fp).has_value());
 
-  const auto stored = result_with(Schedule{{0, 2, 1, 2, 0}}, 6.5, 48.0);
+  auto stored = result_with(Schedule{{0, 2, 1, 2, 0}}, 6.5, 48.0);
+  stored.eval.cpm.est = {0.0, 1.0, 2.0, 2.0, 6.5};
   cache.insert(fp, stored);
   const auto hit = cache.find(fp);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->exact);
   EXPECT_EQ(hit->result.schedule, stored.schedule);
   EXPECT_EQ(hit->result.iterations, stored.iterations);
+  EXPECT_DOUBLE_EQ(hit->result.eval.med, 6.5);
+  EXPECT_DOUBLE_EQ(hit->result.eval.cost, 48.0);
   EXPECT_TRUE(hit->remappable);
+  // The cache keeps the decision only, and an exact hit needs no
+  // re-mapping assignment.
+  EXPECT_TRUE(hit->result.eval.cpm.est.empty());
+  EXPECT_TRUE(hit->assignment.empty());
 }
 
 TEST(ResultCache, PermutedTwinHitsNonExactAndRemaps) {
@@ -117,6 +124,9 @@ TEST(ResultCache, PermutedTwinHitsNonExactAndRemaps) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_FALSE(hit->exact);
   ASSERT_TRUE(hit->remappable);
+  // Only the assignment crosses over; the twin's own schedule does not.
+  EXPECT_EQ(hit->assignment.size(), 5u);
+  EXPECT_TRUE(hit->result.schedule.type_of.empty());
 
   const auto remapped = remap_schedule(*hit, asking_fp);
   ASSERT_TRUE(remapped.has_value());

@@ -2,7 +2,8 @@
 # Restart smoke for the durable result cache: populate a server's cache
 # over TCP, SIGKILL it (no graceful shutdown, so only the journal holds
 # the entries), restart on the same directory, and require the warmed
-# cache to answer the same workload without a single miss.
+# cache to answer the same workload without a single miss. Finally
+# medcc_cachectl verify must find the cache directory fully intact.
 #
 # usage: tools/restart_smoke.sh [BUILD_DIR]
 set -euo pipefail
@@ -10,8 +11,9 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 SERVER="$BUILD_DIR/tools/medcc_server"
 DEMO="$BUILD_DIR/tools/medcc_serve_demo"
-if [ ! -x "$SERVER" ] || [ ! -x "$DEMO" ]; then
-  echo "restart_smoke: $SERVER / $DEMO not built" >&2
+CACHECTL="$BUILD_DIR/tools/medcc_cachectl"
+if [ ! -x "$SERVER" ] || [ ! -x "$DEMO" ] || [ ! -x "$CACHECTL" ]; then
+  echo "restart_smoke: $SERVER / $DEMO / $CACHECTL not built" >&2
   exit 2
 fi
 
@@ -77,4 +79,12 @@ fi
 kill -KILL "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
+
+echo "== medcc_cachectl verify on the cache dir"
+if ! "$CACHECTL" verify "$workdir/cache" >"$workdir/verify.txt"; then
+  echo "restart_smoke: FAIL: medcc_cachectl verify" >&2
+  cat "$workdir/verify.txt" >&2
+  exit 1
+fi
+cat "$workdir/verify.txt"
 echo "restart_smoke: OK (persist_loaded_entries=$loaded, cache_hits_exact=$hits, cache_misses=0)"

@@ -639,6 +639,42 @@ TEST(GoldenBits, V1CacheRecordFixturesArePinnedAndDecode) {
                medcc::persist::PersistError);
 }
 
+// -- frozen version-2 cache records ---------------------------------------
+//
+// tests/golden/cache_v2_* are bytes written by the version-2 cache-record
+// encoder: the five records and the repl_insert and record_file payloads
+// behind the pins above, and a journal of the same four real solves as
+// cache_v1_solves.mdjl, written by a live service. Their keys are
+// fingerprints of the version-2 era. The bytes never change.
+
+const BytesPin kV2Fixtures[] = {
+    {"cache_v2_record_0.bin", 76, 0xb91f1e7fcb7b150a},
+    {"cache_v2_record_1.bin", 97, 0x09a6348ed4ba2987},
+    {"cache_v2_record_2.bin", 244, 0xcd5fc497a3dbd557},
+    {"cache_v2_record_3.bin", 1609, 0xb31ddc83a0907225},
+    {"cache_v2_record_4.bin", 7276, 0xdeb6269fa053528c},
+    {"cache_v2_repl_payload.bin", 292, 0xd14ce11853fcb3c8},
+    {"cache_v2_record_file.mdjl", 327, 0xfd0f5f380bd26889},
+    {"cache_v2_solves.mdjl", 1108, 0x4d7ac2db1bfb5b87},
+};
+
+TEST(GoldenBits, V2CacheRecordFixturesArePinnedAndDecode) {
+  for (const BytesPin& pin : kV2Fixtures)
+    expect_bytes_pinned(pin, pin.name, golden_bytes(pin.name));
+  const std::size_t sizes[] = {0, 1, 7, 64, 300};
+  for (std::size_t k = 0; k < std::size(sizes); ++k) {
+    SCOPED_TRACE("record " + std::to_string(k));
+    const std::string v2 =
+        golden_bytes("cache_v2_record_" + std::to_string(k) + ".bin");
+    EXPECT_EQ(medcc::service::cache_record_version(v2), 2u);
+    expect_decodes_to(medcc::service::decode_cache_record(v2),
+                      entry_of(k + 11, sizes[k]));
+  }
+  expect_decodes_to(medcc::service::decode_cache_record(
+                        golden_bytes("cache_v2_repl_payload.bin")),
+                    entry_of(5, 9));
+}
+
 // -- CRC-32 ---------------------------------------------------------------
 
 TEST(GoldenBits, Crc32CheckValue) {

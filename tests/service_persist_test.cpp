@@ -138,14 +138,15 @@ TEST(CacheRecordCodec, EveryTruncationOfAValidRecordThrowsPersistError) {
   }
 }
 
-/// A journal of four solves written by the version-1 cache-record
-/// encoder, which still stored the CPM timing detail (see
-/// golden_bits_test): the requests v1_fixture_requests() builds.
-fs::path v1_solves_journal() {
-  return fs::path(__FILE__).parent_path() / "golden" / "cache_v1_solves.mdjl";
+/// A journal of four solves written by the version-`version` cache-record
+/// encoder (see golden_bits_test; version 1 still stored the CPM timing
+/// detail): the requests fixture_requests() builds.
+fs::path solves_journal(int version) {
+  return fs::path(__FILE__).parent_path() / "golden" /
+         ("cache_v" + std::to_string(version) + "_solves.mdjl");
 }
 
-std::vector<SchedulingRequest> v1_fixture_requests() {
+std::vector<SchedulingRequest> fixture_requests() {
   const auto inst = std::make_shared<const Instance>(Instance::from_model(
       medcc::workflow::example6(), medcc::cloud::example_catalog()));
   return {request_for(inst, 57.0, "cg"), request_for(inst, 57.0, "gain3"),
@@ -215,41 +216,46 @@ TEST_F(ServicePersistTest, WarmStartServesByteIdenticalExactHits) {
   EXPECT_NE(text.find("persist_load_seconds"), std::string::npos);
 }
 
-TEST_F(ServicePersistTest, WarmStartFromV1JournalServesColdSolveBytes) {
-  fs::create_directories(dir_);
-  fs::copy_file(v1_solves_journal(), dir_ / medcc::persist::kJournalFileName);
-  SchedulingService warmed(config());
-  const auto boot = warmed.metrics().snapshot();
-  EXPECT_EQ(boot.persist_loaded_entries, 4u);
-  EXPECT_EQ(boot.persist_load_errors, 0u);
-  SchedulingService cold({.threads = 1});
-  medcc::net::Server warm_server(warmed);
-  medcc::net::Server cold_server(cold);
-  medcc::net::ClientConfig warm_config;
-  warm_config.port = warm_server.port();
-  medcc::net::ClientConfig cold_config;
-  cold_config.port = cold_server.port();
-  medcc::net::Client warm_client(warm_config);
-  medcc::net::Client cold_client(cold_config);
+TEST_F(ServicePersistTest, WarmStartFromOlderJournalsServesColdSolveBytes) {
+  for (const int version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    fs::copy_file(solves_journal(version),
+                  dir_ / medcc::persist::kJournalFileName);
+    SchedulingService warmed(config());
+    const auto boot = warmed.metrics().snapshot();
+    EXPECT_EQ(boot.persist_loaded_entries, 4u);
+    EXPECT_EQ(boot.persist_load_errors, 0u);
+    SchedulingService cold({.threads = 1});
+    medcc::net::Server warm_server(warmed);
+    medcc::net::Server cold_server(cold);
+    medcc::net::ClientConfig warm_config;
+    warm_config.port = warm_server.port();
+    medcc::net::ClientConfig cold_config;
+    cold_config.port = cold_server.port();
+    medcc::net::Client warm_client(warm_config);
+    medcc::net::Client cold_client(cold_config);
 
-  for (const SchedulingRequest& request : v1_fixture_requests()) {
-    SCOPED_TRACE(request.solver + " B=" + std::to_string(request.budget));
-    SchedulingResponse warm = warm_client.solve(request);
-    SchedulingResponse fresh = cold_client.solve(request);
-    ASSERT_TRUE(warm.ok()) << warm.error;
-    ASSERT_TRUE(fresh.ok()) << fresh.error;
-    EXPECT_EQ(warm.cache, CacheOutcome::hit_exact);
-    EXPECT_EQ(fresh.cache, CacheOutcome::miss);
-    // Wall-clock telemetry and the outcome tag aside, the frames match.
-    for (SchedulingResponse* r : {&warm, &fresh}) {
-      r->queue_delay_ms = 0.0;
-      r->solve_ms = 0.0;
-      r->cache = CacheOutcome::miss;
+    for (const SchedulingRequest& request : fixture_requests()) {
+      SCOPED_TRACE(request.solver + " B=" + std::to_string(request.budget));
+      SchedulingResponse warm = warm_client.solve(request);
+      SchedulingResponse fresh = cold_client.solve(request);
+      ASSERT_TRUE(warm.ok()) << warm.error;
+      ASSERT_TRUE(fresh.ok()) << fresh.error;
+      EXPECT_EQ(warm.cache, CacheOutcome::hit_exact);
+      EXPECT_EQ(fresh.cache, CacheOutcome::miss);
+      // Wall-clock telemetry and the outcome tag aside, the frames match.
+      for (SchedulingResponse* r : {&warm, &fresh}) {
+        r->queue_delay_ms = 0.0;
+        r->solve_ms = 0.0;
+        r->cache = CacheOutcome::miss;
+      }
+      EXPECT_EQ(medcc::net::encode_solve_response(warm, 1),
+                medcc::net::encode_solve_response(fresh, 1));
     }
-    EXPECT_EQ(medcc::net::encode_solve_response(warm, 1),
-              medcc::net::encode_solve_response(fresh, 1));
+    EXPECT_EQ(warmed.metrics().snapshot().cache_misses, 0u);
   }
-  EXPECT_EQ(warmed.metrics().snapshot().cache_misses, 0u);
 }
 
 TEST_F(ServicePersistTest, IsomorphicHitSurvivesRestart) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 
 #include "util/prng.hpp"
 
@@ -15,28 +16,31 @@ constexpr std::uint64_t mix(std::uint64_t x) {
   return util::splitmix64(x);
 }
 
-/// chain(h, value) = fold(h, mix(value)): every value below is mixed
-/// once and folded into each order-dependent chain that uses it.
-constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t mixed) {
-  return mix(h ^ mixed);
+/// One step of an order-dependent chain: the state is pseudo-random, so
+/// xoring a raw field into it and scrambling once is enough.
+constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t value) {
+  return mix(h ^ value);
 }
 
-/// mix() of a double's bit pattern, with -0.0 normalized to +0.0 so
-/// numerically equal fields hash equal.
-std::uint64_t mix_double(double x) {
+/// A double's bit pattern, with -0.0 normalized to +0.0 so numerically
+/// equal fields hash equal.
+std::uint64_t bits(double x) {
   if (x == 0.0) x = 0.0;
-  return mix(std::bit_cast<std::uint64_t>(x));
+  return std::bit_cast<std::uint64_t>(x);
 }
 
-// The tags: pre-mixed, except the exact hash's start value.
-constexpr std::uint64_t kExactTag = 0x65786163ULL;         // "exac"
-constexpr std::uint64_t kTypesTag = mix(0x7479706573ULL);  // "types"
-constexpr std::uint64_t kRowTag = mix(0x726f77ULL);        // "row"
-constexpr std::uint64_t kInTag = mix(0x696eULL);           // "in"
-constexpr std::uint64_t kOutTag = mix(0x6f7574ULL);        // "out"
-constexpr std::uint64_t kMedcTag = mix(0x6d656463ULL);     // "medc"
-constexpr std::uint64_t kComputingTag = mix(1);
-constexpr std::uint64_t kFixedTag = mix(2);
+/// One mix of two doubles. The second is rotated by half a word so that
+/// round values (whose low mantissa words are zero) cannot cancel.
+std::uint64_t mix_pair(double a, double b) {
+  return mix(bits(a) ^ std::rotl(bits(b), 32));
+}
+
+constexpr std::uint64_t kExactTag = 0x65786163ULL;  // "exac"
+constexpr std::uint64_t kTypesTag = 0x7479706573ULL;  // "types"
+constexpr std::uint64_t kRowTag = 0x726f77ULL;        // "row"
+constexpr std::uint64_t kMedcTag = 0x6d656463ULL;     // "medc"
+constexpr std::uint64_t kComputingTag = 1;
+constexpr std::uint64_t kFixedTag = 2;
 
 /// One value per label run. The runs advance in lock-step, so their
 /// independent hash chains overlap on the CPU; lane 0 (hi) also supplies
@@ -44,34 +48,81 @@ constexpr std::uint64_t kFixedTag = mix(2);
 using Lanes = std::array<std::uint64_t, 2>;
 constexpr Lanes kSeeds = {0x243f6a8885a308d3ULL,   // pi digits
                           0x13198a2e03707344ULL};  // more pi digits
+/// Per-lane direction tags, pre-mixed: "in" and "out" xor the lane seed.
+constexpr Lanes kInTags = {mix(0x696eULL ^ kSeeds[0]),
+                           mix(0x696eULL ^ kSeeds[1])};
+constexpr Lanes kOutTags = {mix(0x6f7574ULL ^ kSeeds[0]),
+                            mix(0x6f7574ULL ^ kSeeds[1])};
+/// A module label's start, before its TE/CE row is folded in.
+constexpr Lanes kComputingStart = {fold(kSeeds[0], kComputingTag),
+                                   fold(kSeeds[1], kComputingTag)};
+constexpr Lanes kFixedStart = {fold(kSeeds[0], kFixedTag),
+                               fold(kSeeds[1], kFixedTag)};
 
-/// True when the sorted copy of `hashes` has no duplicates.
-bool all_distinct(std::vector<std::uint64_t> hashes) {
-  std::sort(hashes.begin(), hashes.end());
-  return std::adjacent_find(hashes.begin(), hashes.end()) == hashes.end();
+/// One dependency edge with its refinement keys, hashed once per call.
+struct EdgeKeys {
+  workflow::NodeId src;
+  workflow::NodeId dst;
+  Lanes in;   ///< folded into dst's in-sum with src's label
+  Lanes out;  ///< folded into src's out-sum with dst's label
+};
+
+/// Scratch arrays reused across calls on one thread, so a call allocates
+/// only the vectors it returns.
+struct Workspace {
+  std::vector<Lanes> label, in_sum, out_sum, row_key;
+  std::vector<EdgeKeys> edges;
+  std::vector<std::uint64_t> tail, sorted;
+};
+
+/// Appends a string as its length, then its bytes in little-endian
+/// 8-byte words (the last one zero-padded).
+void append_string(std::vector<std::uint64_t>& out, std::string_view s) {
+  out.push_back(s.size());
+  for (std::size_t at = 0; at < s.size(); at += 8) {
+    unsigned char word[8] = {};
+    std::memcpy(word, s.data() + at, std::min<std::size_t>(8, s.size() - at));
+    std::uint64_t v = 0;
+    for (int b = 7; b >= 0; --b) v = (v << 8) | word[b];
+    out.push_back(v);
+  }
+}
+
+/// True when `hashes` has no duplicates (sorted in `scratch`).
+bool all_distinct(const std::vector<std::uint64_t>& hashes,
+                  std::vector<std::uint64_t>& scratch) {
+  scratch.assign(hashes.begin(), hashes.end());
+  std::sort(scratch.begin(), scratch.end());
+  return std::adjacent_find(scratch.begin(), scratch.end()) == scratch.end();
 }
 
 }  // namespace
 
 // Both Weisfeiler-Lehman label runs and the order-dependent exact hash
-// in one pass. Per run with seed s, with chain(h, v) = mix(h ^ mix(v)):
+// in one pass (version 3). Per run with seed s, with fold(h, v) =
+// mix(h ^ v) and pair(a, b) = mix(bits(a) ^ rotl(bits(b), 32)):
 //
-//   type hash   t_j  = chain(chain(chain(s, "types"), VP_j), CR_j)
-//   label       l_i  = chain(chain(s, fixed_i ? 2 : 1), sum_j mix(c_ij)),
-//               c_ij = chain(chain(chain(t_j, "row"), TE_ij), CE_ij)
-//   refinement  l_i' = chain(chain(l_i, in_i), out_i), for
+//   type hash   t_j  = fold(fold(fold(s, "types"), VP_j), CR_j)
+//   cell        c_ij = pair(TE_ij, CE_ij), shared by both runs and exact
+//   label       l_i  = fold(fold(s, fixed_i ? 2 : 1),
+//                           sum_j mix(c_ij ^ fold(t_j, "row")))
+//   edge key    k_e  = pair(DS_e, ET_e); in_e = mix(k_e ^ in_s),
+//               out_e = mix(k_e ^ out_s) with pre-mixed per-run tags
+//   refinement  l_i' = fold(fold(l_i, in_i), out_i), for
 //               2 + bit_width(m + 1) rounds; in_i sums
-//               mix(chain(chain(chain(l_src, "in"), DS_e), ET_e)) over
-//               the in-edges, out_i likewise with l_dst and "out"
-//   canonical   chain from s over "medc", m, |E|, n, sum mix(l_i),
-//               sum mix(t_j), then the scalar tail
+//               mix(l_src ^ in_e) over the in-edges, out_i sums
+//               mix(l_dst ^ out_e) over the out-edges
+//   canonical   fold chain from s over "medc", m, |E|, n,
+//               sum mix(l_i), sum mix(t_j), then the scalar tail
 //
-// The exact hash chains the same fields index by index. Doubles enter
-// as mix_double; strings as their length, then one step per byte.
-// These bits are persisted and replicated (docs/service.md).
+// The exact hash folds, index by index: m, |E|, n, each module's tag
+// and cells c_ij, each edge's src, dst and k_e, each type's VP and CR,
+// then the tail. Doubles enter as bits(); strings as their length, then
+// 8-byte words. These bits are persisted and replicated (docs/service.md).
 FingerprintDetail fingerprint_instance(const sched::Instance& instance,
                                        double budget, std::string_view solver,
                                        std::string_view config) {
+  static thread_local Workspace ws;
   const auto& wf = instance.workflow();
   const auto& graph = wf.graph();
   const auto& catalog = instance.catalog();
@@ -80,92 +131,93 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
   const std::size_t edges = graph.edge_count();
 
   // The scalar tail every chain ends with.
-  std::vector<std::uint64_t> tail = {
-      mix_double(budget),
-      mix_double(instance.billing().quantum()),
-      mix_double(instance.network().bandwidth),
-      mix_double(instance.network().link_delay),
-      mix_double(instance.network().transfer_cost_rate)};
-  for (const std::string_view s : {solver, config}) {
-    tail.push_back(mix(s.size()));
-    for (const char c : s) tail.push_back(mix(static_cast<unsigned char>(c)));
-  }
-  const std::uint64_t sizes[] = {mix(m), mix(edges), mix(n)};
+  auto& tail = ws.tail;
+  tail.assign({bits(budget), bits(instance.billing().quantum()),
+               bits(instance.network().bandwidth),
+               bits(instance.network().link_delay),
+               bits(instance.network().transfer_cost_rate)});
+  append_string(tail, solver);
+  append_string(tail, config);
+  const std::uint64_t sizes[] = {m, edges, n};
   std::uint64_t exact = kExactTag;
   for (const std::uint64_t v : sizes) exact = fold(exact, v);
 
-  // Types: hashes and their "row"-tagged cell prefixes.
+  // Types: hashes and per-run row keys.
   std::vector<std::uint64_t> type_hash(n);
-  std::vector<Lanes> row_prefix(n);
-  std::vector<std::uint64_t> type_fields;  // mixed VP_j, CR_j pairs
+  ws.row_key.resize(n);
   Lanes type_sum{};
   for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t power = mix_double(catalog.type(j).processing_power);
-    const std::uint64_t rate = mix_double(catalog.type(j).cost_rate);
-    type_fields.insert(type_fields.end(), {power, rate});
+    const std::uint64_t power = bits(catalog.type(j).processing_power);
+    const std::uint64_t rate = bits(catalog.type(j).cost_rate);
     for (const int k : {0, 1}) {
       const std::uint64_t t =
           fold(fold(fold(kSeeds[k], kTypesTag), power), rate);
-      row_prefix[j][k] = fold(t, kRowTag);
+      ws.row_key[j][k] = fold(t, kRowTag);
       type_sum[k] += mix(t);
       if (k == 0) type_hash[j] = t;
     }
   }
 
   // Initial labels from the TE/CE rows, and the exact hash's module part.
-  std::vector<Lanes> label(m);
+  auto& label = ws.label;
+  label.resize(m);
   for (workflow::NodeId i = 0; i < m; ++i) {
-    const std::uint64_t tag =
-        wf.module(i).is_fixed() ? kFixedTag : kComputingTag;
-    exact = fold(exact, tag);
+    const bool fixed = wf.module(i).is_fixed();
+    exact = fold(exact, fixed ? kFixedTag : kComputingTag);
     Lanes rows{};
     for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t te = mix_double(instance.time(i, j));
-      const std::uint64_t ce = mix_double(instance.cost(i, j));
-      exact = fold(fold(exact, te), ce);
-      for (const int k : {0, 1})
-        rows[k] += mix(fold(fold(row_prefix[j][k], te), ce));
+      const std::uint64_t cell = mix_pair(instance.time(i, j),
+                                          instance.cost(i, j));
+      exact = fold(exact, cell);
+      for (const int k : {0, 1}) rows[k] += mix(cell ^ ws.row_key[j][k]);
     }
-    for (const int k : {0, 1})
-      label[i][k] = fold(fold(kSeeds[k], tag), mix(rows[k]));
+    const Lanes& start = fixed ? kFixedStart : kComputingStart;
+    for (const int k : {0, 1}) label[i][k] = fold(start[k], rows[k]);
   }
 
-  // Flat edge arrays with the per-edge values mixed once; the exact hash
-  // takes its edge and type parts on the way.
-  std::vector<workflow::NodeId> src(edges), dst(edges);
-  std::vector<std::uint64_t> data(edges), time(edges);
+  // Edge keys, hashed once; the exact hash takes its edge part on the way.
+  ws.edges.resize(edges);
   for (dag::EdgeId e = 0; e < edges; ++e) {
-    src[e] = graph.edge(e).src;
-    dst[e] = graph.edge(e).dst;
-    data[e] = mix_double(wf.data_size(e));
-    time[e] = mix_double(instance.edge_time(e));
-    for (const std::uint64_t v : {mix(src[e]), mix(dst[e]), data[e], time[e]})
-      exact = fold(exact, v);
+    EdgeKeys& edge = ws.edges[e];
+    edge.src = graph.edge(e).src;
+    edge.dst = graph.edge(e).dst;
+    const std::uint64_t key = mix_pair(wf.data_size(e), instance.edge_time(e));
+    for (const int k : {0, 1}) {
+      edge.in[k] = mix(key ^ kInTags[k]);
+      edge.out[k] = mix(key ^ kOutTags[k]);
+    }
+    exact = fold(fold(fold(exact, edge.src), edge.dst), key);
   }
-  for (const std::uint64_t v : type_fields) exact = fold(exact, v);
+  for (std::size_t j = 0; j < n; ++j) {
+    exact = fold(exact, bits(catalog.type(j).processing_power));
+    exact = fold(exact, bits(catalog.type(j).cost_rate));
+  }
   for (const std::uint64_t v : tail) exact = fold(exact, v);
 
   // Refinement: each round folds in the multiset of labelled in- and
   // out-neighbourhoods (edge data size and transfer time included), so
   // after ~log2(m)+2 rounds a label encodes the module's whole
-  // neighbourhood out to the graph's diameter on typical workflows.
+  // neighbourhood out to the graph's diameter on typical workflows. One
+  // mix per edge, run and direction; the sums are cleared as they are
+  // consumed.
   const int rounds = 2 + std::bit_width(static_cast<std::uint64_t>(m) + 1);
-  std::vector<Lanes> in_sum(m), out_sum(m);
+  auto& in_sum = ws.in_sum;
+  auto& out_sum = ws.out_sum;
+  in_sum.assign(m, Lanes{});
+  out_sum.assign(m, Lanes{});
   for (int round = 0; round < rounds; ++round) {
-    std::fill(in_sum.begin(), in_sum.end(), Lanes{});
-    std::fill(out_sum.begin(), out_sum.end(), Lanes{});
-    for (dag::EdgeId e = 0; e < edges; ++e) {
+    for (const EdgeKeys& edge : ws.edges) {
       for (const int k : {0, 1}) {
-        in_sum[dst[e]][k] +=
-            mix(fold(fold(fold(label[src[e]][k], kInTag), data[e]), time[e]));
-        out_sum[src[e]][k] +=
-            mix(fold(fold(fold(label[dst[e]][k], kOutTag), data[e]), time[e]));
+        in_sum[edge.dst][k] += mix(label[edge.src][k] ^ edge.in[k]);
+        out_sum[edge.src][k] += mix(label[edge.dst][k] ^ edge.out[k]);
       }
     }
-    for (workflow::NodeId i = 0; i < m; ++i)
+    for (workflow::NodeId i = 0; i < m; ++i) {
       for (const int k : {0, 1})
-        label[i][k] =
-            fold(fold(label[i][k], mix(in_sum[i][k])), mix(out_sum[i][k]));
+        label[i][k] = fold(fold(label[i][k], in_sum[i][k]), out_sum[i][k]);
+      in_sum[i] = {};
+      out_sum[i] = {};
+    }
   }
 
   // Order-independent combination of labels, type hashes, and scalars.
@@ -180,14 +232,14 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
   for (const int k : {0, 1}) {
     h[k] = fold(kSeeds[k], kMedcTag);
     for (const std::uint64_t v : sizes) h[k] = fold(h[k], v);
-    h[k] = fold(fold(h[k], mix(module_sum[k])), mix(type_sum[k]));
+    h[k] = fold(fold(h[k], module_sum[k]), type_sum[k]);
     for (const std::uint64_t v : tail) h[k] = fold(h[k], v);
   }
 
   detail.canonical = {h[0], h[1]};
   detail.exact = exact;
-  detail.modules_distinct = all_distinct(detail.module_hash);
-  detail.types_distinct = all_distinct(type_hash);
+  detail.modules_distinct = all_distinct(detail.module_hash, ws.sorted);
+  detail.types_distinct = all_distinct(type_hash, ws.sorted);
   detail.type_hash = std::move(type_hash);
   detail.solver = std::string(solver);
   return detail;

@@ -27,16 +27,6 @@ std::vector<std::size_t> get_index_vector(persist::Reader& r,
   return v;
 }
 
-/// Steps over version 1's CPM timing block: est, eft, lst, lft and
-/// buffer (f64 each), the critical flags (u8 each) and the critical path
-/// (u64 each), every one a u32 count plus its elements, then the
-/// makespan (f64).
-void skip_v1_cpm(persist::Reader& r) {
-  for (const std::uint64_t width : {8, 8, 8, 8, 8, 1, 8})
-    r.skip(width * r.u32());
-  r.skip(sizeof(double));
-}
-
 }  // namespace
 
 std::string encode_cache_record(const CacheEntry& entry) {
@@ -67,7 +57,7 @@ std::uint16_t cache_record_version(std::string_view payload) {
 CacheEntry decode_cache_record(std::string_view payload) {
   persist::Reader r(payload);
   const std::uint16_t version = r.u16();
-  if (version != 1 && version != kCacheRecordVersion)
+  if (version != kCacheRecordVersion)
     throw persist::PersistError("cache record: unsupported payload version " +
                                 std::to_string(version));
 
@@ -82,7 +72,6 @@ CacheEntry decode_cache_record(std::string_view payload) {
   entry.med = r.f64();
   entry.cost = r.f64();
   entry.schedule.type_of = get_index_vector(r, kMaxPersistedModules);
-  if (version == 1) skip_v1_cpm(r);
 
   const std::uint32_t assignment_count = r.u32();
   if (assignment_count > kMaxPersistedModules)

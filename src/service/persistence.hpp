@@ -9,12 +9,14 @@
 // from (instance, schedule) on every hit, so a warmed exact hit is still
 // byte-identical to the live solve that produced it.
 //
-// Version 2 is written. Version 1, which also carried the CPM timing
-// block, is still read; the block is bounds-checked and dropped. Decoding
-// validates element counts against the remaining bytes before any
-// allocation, caps strings, and throws persist::PersistError on every
-// malformed shape and on any other version, so warm start skips such a
-// record (counted as a load error) instead of misreading it.
+// Version 3 is written and is the only version read: its keys are
+// version-3 fingerprints, which no version-1 or version-2 key can match
+// (docs/FORMATS.md). Decoding validates element counts against the
+// remaining bytes before any allocation, caps strings, and throws
+// persist::PersistError on every malformed shape and on any other
+// version, so warm start skips such a record (counted as a load error)
+// and a peer rejects it (counted as an apply error) instead of
+// misreading it.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +27,8 @@
 
 namespace medcc::service {
 
-/// Version of the cache-record payload this build writes. It reads this
-/// version and version 1.
-inline constexpr std::uint16_t kCacheRecordVersion = 2;
+/// Version of the cache-record payload this build writes and reads.
+inline constexpr std::uint16_t kCacheRecordVersion = 3;
 
 /// Decode guards (far above anything the service accepts today).
 inline constexpr std::size_t kMaxPersistedModules = 1u << 20;

@@ -126,12 +126,6 @@ public:
     return out;
   }
 
-  /// Steps over `n` bytes (fails truncated when fewer remain).
-  void skip(std::uint64_t n) {
-    need(n);
-    pos_ += n;
-  }
-
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
   /// Fails (trailing) unless the buffer is exhausted.

@@ -1,8 +1,9 @@
 // The replication channel end-to-end, in process: a Replicator pushing
 // locally solved cache records from an origin service into a real
 // receiver server over loopback TCP -- hello negotiation, record
-// delivery and byte-identical serving, the v1-peer downgrade path,
-// down-peer bookkeeping, and bounded-queue overflow.
+// delivery and byte-identical serving, rejection of older cache-record
+// versions, the v1-peer downgrade path, down-peer bookkeeping, and
+// bounded-queue overflow.
 #include "cluster/replicator.hpp"
 
 #include <gtest/gtest.h>
@@ -124,11 +125,12 @@ TEST(ClusterReplication, PushesSolvedRecordsToPeerServedByteIdentically) {
   replicator.stop();
 }
 
-// Peers on older cache-record versions push records this build applies
-// and serves. The records are tests/golden/cache_v<N>_solves.mdjl's: the
-// example workflow solved by cg, gain3 and genetic at B = 57 and by cg
-// at B = 48 (version 1 still carried the CPM timing detail).
-TEST(ClusterReplication, AppliesRecordsFromOlderPeers) {
+// A peer on an older cache-record version pushes records whose keys no
+// version-3 lookup can match: this build rejects each one, counts it in
+// repl_apply_errors, and serves a cold solve. The records are
+// tests/golden/cache_v<N>_solves.mdjl's: the example workflow solved by
+// cg, gain3 and genetic at B = 57 and by cg at B = 48.
+TEST(ClusterReplication, RejectsRecordsFromOlderPeers) {
   for (const int version : {1, 2}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const auto journal = medcc::persist::read_record_file(
@@ -148,23 +150,26 @@ TEST(ClusterReplication, AppliesRecordsFromOlderPeers) {
     medcc::net::Client client(client_config);
     const auto acks = client.repl_insert_batch(journal.payloads);
     ASSERT_EQ(acks.size(), 4u);
-    for (const auto& ack : acks) EXPECT_TRUE(ack.applied) << ack.error;
+    for (const auto& ack : acks) {
+      EXPECT_FALSE(ack.applied);
+      EXPECT_EQ(ack.error, "record rejected");
+    }
     const auto snap = receiver.metrics().snapshot();
-    EXPECT_EQ(snap.repl_applied, 4u);
-    EXPECT_EQ(snap.repl_apply_errors, 0u);
+    EXPECT_EQ(snap.repl_applied, 0u);
+    EXPECT_EQ(snap.repl_apply_errors, 4u);
 
     const auto inst = example_instance();
     SchedulingService cold({.threads = 1});
     for (const double budget : {57.0, 48.0}) {
-      const auto hit = receiver.submit(request_for(inst, budget)).get();
+      const auto served = receiver.submit(request_for(inst, budget)).get();
       const auto fresh = cold.submit(request_for(inst, budget)).get();
-      ASSERT_TRUE(hit.ok()) << hit.error;
+      ASSERT_TRUE(served.ok()) << served.error;
       ASSERT_TRUE(fresh.ok()) << fresh.error;
-      EXPECT_EQ(hit.cache, CacheOutcome::hit_exact);
-      EXPECT_EQ(hit.result.schedule, fresh.result.schedule);
-      EXPECT_EQ(hit.result.iterations, fresh.result.iterations);
-      expect_bits_equal(hit.result.eval.med, fresh.result.eval.med);
-      expect_bits_equal(hit.result.eval.cost, fresh.result.eval.cost);
+      EXPECT_EQ(served.cache, CacheOutcome::miss);
+      EXPECT_EQ(served.result.schedule, fresh.result.schedule);
+      EXPECT_EQ(served.result.iterations, fresh.result.iterations);
+      expect_bits_equal(served.result.eval.med, fresh.result.eval.med);
+      expect_bits_equal(served.result.eval.cost, fresh.result.eval.cost);
     }
   }
 }

@@ -9,7 +9,6 @@
 // protocol) version bump.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -58,8 +57,6 @@ std::uint64_t fnv1a(std::string_view bytes) {
   }
   return h;
 }
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// FNV-1a over the little-endian bytes of every word, in order.
 std::uint64_t fnv1a_words(const std::vector<std::uint64_t>& words) {
@@ -216,38 +213,38 @@ struct FingerprintPin {
 };
 
 const FingerprintPin kFingerprintPins[] = {
-    {"random-10", 0x1913f67964389456, 0x997f78bbb0c54b87,
-     0x04a370d630d27b00, 0xde2597942c59533f, 0x59f180559a593776, 10, 4,
+    {"random-10", 0xf6083b3ae3d8e9a0, 0xb9f834b36aa38b5c,
+     0xf84bb071fcb7486a, 0x279caf5f42235650, 0x4bdbaf90cfa85e62, 10, 4,
      true, true},
-    {"random-30-data", 0xa225b032f24693ad, 0x70313a98371bfb59,
-     0xd5592708b3c0b4b8, 0x392cae1ece78ec4e, 0xdf63efefe0530d6f, 30, 4,
+    {"random-30-data", 0xdab88036ee37c05e, 0xa13c056034141dc5,
+     0x74168e605543df83, 0x51d10afe160a14e0, 0x207da544b50d40c0, 30, 4,
      true, true},
-    {"random-fixed-ends", 0x0af4e26dd143c8df, 0x584ffe89c58d155e,
-     0x27c92dfb6b0df39c, 0x38d4697f22e422a7, 0xdb7edbc123c2f56c, 24, 4,
+    {"random-fixed-ends", 0x1bab2ceacd17ba4a, 0x2eb85b0505f102e5,
+     0x66693d84ce7b4688, 0x5dc81c10139cc112, 0xb0fbf3a1c58397cc, 24, 4,
      true, true},
-    {"random-120", 0x15a5a30afb4b6793, 0x20952332ef6fc465,
-     0xa5a043993088f8ae, 0xc7d6352442cbf8ee, 0x81617ca4363937f9, 120, 4,
+    {"random-120", 0xa5545429b7729a9e, 0xe3b9a6acad19bbd6,
+     0xabb6895af2eb32e7, 0x167ca0b5f98769b2, 0xaa7bd5eb3816938d, 120, 4,
      true, true},
-    {"montage-4", 0x3aec5469c0b18acb, 0xeeb512673b60bbce,
-     0x8371e9be169b2eda, 0x8425b982b5047bfc, 0x359afff68f87f229, 18, 5,
+    {"montage-4", 0xe52e1706c38bf777, 0xb11fcb21311326e4,
+     0x18e359404f6ddabf, 0x585f2cd23bd2807a, 0xf90a7e61d310c3a2, 18, 5,
      true, true},
-    {"montage-9", 0x7afe8b33347a88b9, 0x5b61be45249d5ab8,
-     0x3cafe0a64ccc3b44, 0x053abced028254de, 0x1410ad73f51a0112, 33, 5,
+    {"montage-9", 0x520ab4bf58acde39, 0xac9dc7313b8f42da,
+     0x4fab5602b1743a27, 0x18d39061f44c87dd, 0x9afd49a65ea2900d, 33, 5,
      true, true},
-    {"cybershake-3", 0x8eb871d1e7566730, 0xe6a74fe941a8fd49,
-     0x2f2ee4c009f20d0a, 0x8be127c985894e15, 0x59a9eb7a8a43fef0, 13, 5,
+    {"cybershake-3", 0xe1232ca1103e2a7e, 0xe83ccfd538026d6c,
+     0x90d1b102d57f774e, 0x592b4a84917fb7e1, 0x340cc2a0c40b7052, 13, 5,
      true, true},
-    {"cybershake-8", 0x885ee5ea99522492, 0x95824dab91ebc38c,
-     0xe758855a276cf383, 0x8a2c2464a3704778, 0x30498c29fb914201, 23, 5,
+    {"cybershake-8", 0x8639a9f2bb368a15, 0xda2e94e127663bc7,
+     0x0b6cef4ce47ffd64, 0xbe819ed633edfb27, 0x0ef582132291cf4d, 23, 5,
      true, true},
-    {"example6-fixed", 0xf0eef5ef3044ca25, 0x51979d9563516db9,
-     0x77c81e305c9d2a29, 0x4ad595df10adf046, 0xc22fe4dcf8c086de, 8, 3,
+    {"example6-fixed", 0x4e723991623d8bc9, 0x4fb6721aa5fbc8e2,
+     0x7b5e776cf22a270b, 0xfcd6956f972881ba, 0x20040c00c6a5aa46, 8, 3,
      true, true},
-    {"symmetric", 0x0ededdff43d32054, 0x29fa124e32a3ec1f,
-     0xe3124c73971554a2, 0x56665d6044d265eb, 0xc22fe4dcf8c086de, 4, 3,
+    {"symmetric", 0xe3e1751278896472, 0x40d54d630ab30952,
+     0x93918a869ff0f40f, 0x676e89df1a1aa1db, 0x20040c00c6a5aa46, 4, 3,
      false, true},
-    {"matrix-network", 0x9eed187f8640cad1, 0xb10a1e6795a9b9a5,
-     0xd1bbd7786d3ec8ef, 0x293b3af1e14d5a4c, 0xc22fe4dcf8c086de, 8, 3,
+    {"matrix-network", 0xd349a00b70aa120f, 0x9941e4f3e2057a3a,
+     0xfd8d5aa3b37c924f, 0xd6f939f7b1c72f46, 0x20040c00c6a5aa46, 8, 3,
      true, true},
 };
 
@@ -425,14 +422,14 @@ medcc::service::CacheEntry entry_of(std::uint64_t seed, std::size_t modules) {
   return entry;
 }
 
-// Cache-record version 2. The version-1 bytes these pins held are the
-// cache_v1_record_* fixtures below.
+// Cache-record version 3. The version-1 and version-2 bytes these pins
+// held are the cache_v1_record_* and cache_v2_record_* fixtures below.
 const BytesPin kCacheRecordPins[] = {
-    {"record-0", 76, 0xb91f1e7fcb7b150a},
-    {"record-1", 97, 0x09a6348ed4ba2987},
-    {"record-2", 244, 0xcd5fc497a3dbd557},
-    {"record-3", 1609, 0xb31ddc83a0907225},
-    {"record-4", 7276, 0xdeb6269fa053528c},
+    {"record-0", 76, 0x3ea5b336d187330b},
+    {"record-1", 97, 0x32dd6a7e518cefa0},
+    {"record-2", 244, 0x3e2777783b4ca886},
+    {"record-3", 1609, 0xfd75e276e291a4a2},
+    {"record-4", 7276, 0x550c71c675eddd25},
 };
 
 TEST(GoldenBits, CacheRecordBytesArePinned) {
@@ -459,15 +456,15 @@ const BytesPin kOtherFramePins[] = {
     {"error", 40, 0x1888837e43712142},
     {"hello_request", 36, 0x7bf6ccacc255c03d},
     {"hello_response", 36, 0x430a9d6338b91635},
-    {"repl_insert", 316, 0x8be447f0e3f49dc9},
-    {"repl_insert_traced", 333, 0xdde6296a36771328},
+    {"repl_insert", 316, 0xed47ef8514268c30},
+    {"repl_insert_traced", 333, 0x2a1a8e61b7fe9233},
     {"repl_ack", 30, 0x11e788136b7657c3},
     {"cluster_status_request", 20, 0x5f511f27744da0c1},
     {"cluster_status_response", 191, 0x73625cb9e50fe0bb},
     {"trace_dump_request", 24, 0x8b1f6eaf5d7380dc},
     {"trace_dump_response", 328, 0x66139a84e76bb65b},
     {"frame", 34, 0x6796acbe2ee104f1},
-    {"record_file", 327, 0xfd0f5f380bd26889},
+    {"record_file", 327, 0xf482edba3837203b},
 };
 
 TEST(GoldenBits, OtherEncodingsArePinned) {
@@ -545,16 +542,18 @@ TEST(GoldenBits, OtherEncodingsArePinned) {
                         encodings[k].second);
 }
 
-// -- frozen version-1 cache records ---------------------------------------
+// -- frozen older cache records ------------------------------------------
 //
-// tests/golden/cache_v1_* are bytes written by the version-1 cache-record
-// encoder, whose layout still carried the CPM timing detail: the five
-// records, the repl_insert payload and the record_file journal that the
-// pins above held before version 2 (their old digests are the fixtures'
-// digests and the repl_insert pin below), and a journal of four real
-// solves (the paper's example workflow on its example catalog: cg, gain3
-// and genetic at B = 57, cg at B = 48). Warm start, replication and
-// medcc_cachectl must keep reading them, so the bytes never change.
+// tests/golden/cache_v1_* and cache_v2_* are bytes written by the
+// version-1 and version-2 cache-record encoders: the five records, the
+// repl_insert payload and the record_file journal behind the pins above
+// in each version (version 1 still carried the CPM timing detail), and
+// a journal of four real solves (the paper's example workflow on its
+// example catalog: cg, gain3 and genetic at B = 57, cg at B = 48). Their
+// keys are fingerprints from before version 3, which no lookup can
+// match any more, so every build since rejects them: decode throws,
+// warm start and replication count and skip them, medcc_cachectl
+// compact drops them (tools/cachectl_smoke.sh). The bytes never change.
 
 std::string golden_bytes(std::string_view name) {
   const auto path =
@@ -564,7 +563,7 @@ std::string golden_bytes(std::string_view name) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-const BytesPin kV1Fixtures[] = {
+const BytesPin kOlderFixtures[] = {
     {"cache_v1_record_0.bin", 112, 0x01c8106d3155ba29},
     {"cache_v1_record_1.bin", 182, 0x5b5fa2c904027d26},
     {"cache_v1_record_2.bin", 599, 0x04075cd67f89036c},
@@ -573,81 +572,6 @@ const BytesPin kV1Fixtures[] = {
     {"cache_v1_repl_payload.bin", 737, 0x7dc27195a1248671},
     {"cache_v1_record_file.mdjl", 772, 0xf28d24351ccdd7f8},
     {"cache_v1_solves.mdjl", 2724, 0xb9db56b29abc4c81},
-};
-
-/// Every field a record decodes to, compared bit for bit.
-void expect_decodes_to(const medcc::service::CacheEntry& got,
-                       const medcc::service::CacheEntry& want) {
-  EXPECT_EQ(got.key, want.key);
-  EXPECT_EQ(got.exact, want.exact);
-  EXPECT_EQ(got.solver, want.solver);
-  EXPECT_EQ(got.remappable, want.remappable);
-  EXPECT_EQ(got.hits, want.hits);
-  EXPECT_EQ(got.iterations, want.iterations);
-  EXPECT_EQ(bits(got.med), bits(want.med));
-  EXPECT_EQ(bits(got.cost), bits(want.cost));
-  EXPECT_EQ(got.schedule, want.schedule);
-  EXPECT_EQ(got.assignment, want.assignment);
-}
-
-TEST(GoldenBits, V1CacheRecordFixturesArePinnedAndDecode) {
-  for (const BytesPin& pin : kV1Fixtures)
-    expect_bytes_pinned(pin, pin.name, golden_bytes(pin.name));
-
-  // The five records behind version 1's kCacheRecordPins: the CPM
-  // block is dropped, every other field decodes as written, and
-  // re-encoding gives today's record for the same entry.
-  const std::size_t sizes[] = {0, 1, 7, 64, 300};
-  for (std::size_t k = 0; k < std::size(sizes); ++k) {
-    SCOPED_TRACE("record " + std::to_string(k));
-    const std::string v1 =
-        golden_bytes("cache_v1_record_" + std::to_string(k) + ".bin");
-    EXPECT_EQ(medcc::service::cache_record_version(v1), 1u);
-    const auto entry = entry_of(k + 11, sizes[k]);
-    const auto decoded = medcc::service::decode_cache_record(v1);
-    expect_decodes_to(decoded, entry);
-    EXPECT_EQ(medcc::service::encode_cache_record(decoded),
-              medcc::service::encode_cache_record(entry));
-  }
-  // The skip-reader bounds-checks the CPM block like any other field.
-  const std::string v1 = golden_bytes("cache_v1_record_2.bin");
-  for (std::size_t len = 0; len < v1.size(); ++len)
-    EXPECT_THROW((void)medcc::service::decode_cache_record(
-                     std::string_view(v1).substr(0, len)),
-                 medcc::persist::PersistError)
-        << "prefix length " << len;
-
-  // The payload behind version 1's repl_insert pin, framed as then.
-  const std::string payload = golden_bytes("cache_v1_repl_payload.bin");
-  expect_decodes_to(medcc::service::decode_cache_record(payload),
-                    entry_of(5, 9));
-  expect_bytes_pinned({"repl_insert", 761, 0x0084a48b07453086}, "repl_insert",
-                      medcc::net::encode_repl_insert(payload, 8));
-
-  // The journal behind version 1's record_file pin: the payload, then two
-  // records no version decodes.
-  const auto file = std::filesystem::path(__FILE__).parent_path() / "golden" /
-                    "cache_v1_record_file.mdjl";
-  const auto read =
-      medcc::persist::read_record_file(file, medcc::persist::kJournalMagic);
-  ASSERT_EQ(read.payloads.size(), 3u);
-  EXPECT_FALSE(read.truncated);
-  EXPECT_EQ(read.payloads[0], payload);
-  EXPECT_THROW((void)medcc::service::decode_cache_record(read.payloads[1]),
-               medcc::persist::PersistError);
-  EXPECT_THROW((void)medcc::service::decode_cache_record(read.payloads[2]),
-               medcc::persist::PersistError);
-}
-
-// -- frozen version-2 cache records ---------------------------------------
-//
-// tests/golden/cache_v2_* are bytes written by the version-2 cache-record
-// encoder: the five records and the repl_insert and record_file payloads
-// behind the pins above, and a journal of the same four real solves as
-// cache_v1_solves.mdjl, written by a live service. Their keys are
-// fingerprints of the version-2 era. The bytes never change.
-
-const BytesPin kV2Fixtures[] = {
     {"cache_v2_record_0.bin", 76, 0xb91f1e7fcb7b150a},
     {"cache_v2_record_1.bin", 97, 0x09a6348ed4ba2987},
     {"cache_v2_record_2.bin", 244, 0xcd5fc497a3dbd557},
@@ -658,21 +582,65 @@ const BytesPin kV2Fixtures[] = {
     {"cache_v2_solves.mdjl", 1108, 0x4d7ac2db1bfb5b87},
 };
 
-TEST(GoldenBits, V2CacheRecordFixturesArePinnedAndDecode) {
-  for (const BytesPin& pin : kV2Fixtures)
-    expect_bytes_pinned(pin, pin.name, golden_bytes(pin.name));
-  const std::size_t sizes[] = {0, 1, 7, 64, 300};
-  for (std::size_t k = 0; k < std::size(sizes); ++k) {
-    SCOPED_TRACE("record " + std::to_string(k));
-    const std::string v2 =
-        golden_bytes("cache_v2_record_" + std::to_string(k) + ".bin");
-    EXPECT_EQ(medcc::service::cache_record_version(v2), 2u);
-    expect_decodes_to(medcc::service::decode_cache_record(v2),
-                      entry_of(k + 11, sizes[k]));
+/// Decoding `payload` throws a PersistError that names `version`.
+void expect_rejected(std::string_view payload, int version) {
+  try {
+    (void)medcc::service::decode_cache_record(payload);
+    ADD_FAILURE() << "version " << version << " record decoded";
+  } catch (const medcc::persist::PersistError& e) {
+    EXPECT_NE(std::string_view(e.what()).find(
+                  "unsupported payload version " + std::to_string(version)),
+              std::string_view::npos)
+        << e.what();
   }
-  expect_decodes_to(medcc::service::decode_cache_record(
-                        golden_bytes("cache_v2_repl_payload.bin")),
-                    entry_of(5, 9));
+}
+
+TEST(GoldenBits, OlderCacheRecordFixturesArePinnedAndRejected) {
+  for (const BytesPin& pin : kOlderFixtures)
+    expect_bytes_pinned(pin, pin.name, golden_bytes(pin.name));
+
+  for (const int version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string prefix = "cache_v" + std::to_string(version) + "_";
+    for (std::size_t k = 0; k < 5; ++k) {
+      SCOPED_TRACE("record " + std::to_string(k));
+      const std::string record =
+          golden_bytes(prefix + "record_" + std::to_string(k) + ".bin");
+      EXPECT_EQ(medcc::service::cache_record_version(record), version);
+      expect_rejected(record, version);
+    }
+
+    // The payload behind that version's repl_insert pin ...
+    const std::string payload = golden_bytes(prefix + "repl_payload.bin");
+    expect_rejected(payload, version);
+
+    // ... and the journal behind its record_file pin: the payload, then
+    // two records no version decodes.
+    const auto read = medcc::persist::read_record_file(
+        std::filesystem::path(__FILE__).parent_path() / "golden" /
+            (prefix + "record_file.mdjl"),
+        medcc::persist::kJournalMagic);
+    ASSERT_EQ(read.payloads.size(), 3u);
+    EXPECT_FALSE(read.truncated);
+    EXPECT_EQ(read.payloads[0], payload);
+    EXPECT_THROW((void)medcc::service::decode_cache_record(read.payloads[1]),
+                 medcc::persist::PersistError);
+    EXPECT_THROW((void)medcc::service::decode_cache_record(read.payloads[2]),
+                 medcc::persist::PersistError);
+
+    // The four real solves.
+    const auto solves = medcc::persist::read_record_file(
+        std::filesystem::path(__FILE__).parent_path() / "golden" /
+            (prefix + "solves.mdjl"),
+        medcc::persist::kJournalMagic);
+    ASSERT_EQ(solves.payloads.size(), 4u);
+    for (const std::string& record : solves.payloads)
+      expect_rejected(record, version);
+  }
+  // The repl_insert framing of the version-1 payload, as pinned then.
+  expect_bytes_pinned({"repl_insert", 761, 0x0084a48b07453086}, "repl_insert",
+                      medcc::net::encode_repl_insert(
+                          golden_bytes("cache_v1_repl_payload.bin"), 8));
 }
 
 // -- CRC-32 ---------------------------------------------------------------

@@ -4,19 +4,21 @@
 //
 //   medcc_cachectl inspect DIR   summarize both files (with a count of
 //                                records per cache-record version) and
-//                                every entry
+//                                every current-version entry
 //   medcc_cachectl verify DIR    exit 0 iff both files are fully intact
 //                                (no torn tail, every record decodes)
 //   medcc_cachectl compact DIR   fold the journal into the snapshot,
-//                                rewriting every record in the current
-//                                version, and reset the journal (offline;
-//                                do not run against a live server)
+//                                keeping the current-version records and
+//                                dropping the rest, and reset the journal
+//                                (offline; do not run against a live
+//                                server)
 //
 // verify distinguishes the failure classes: a torn tail (crash evidence
-// the server tolerates and repairs on boot) and an undecodable record
-// (version skew or writer bug; skipped on warm start) both fail
-// verification but are labelled separately.
-#include <array>
+// the server tolerates and repairs on boot), an older-version record
+// (written by an earlier build; its key can never match, so warm start
+// skips it) and an undecodable record (a future version or a writer
+// bug; also skipped on warm start) all fail verification but are
+// labelled separately.
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -34,15 +36,13 @@ namespace {
 constexpr const char* kUsage =
     "usage: medcc_cachectl {inspect|verify|compact} DIR\n";
 
-/// A decoded entry and the record version it was read from.
-struct VersionedEntry {
-  medcc::service::CacheEntry entry;
-  std::uint16_t version = 0;
-};
-
 struct FileReport {
   medcc::persist::ReadResult read;
-  std::vector<VersionedEntry> entries;
+  std::vector<medcc::service::CacheEntry> entries;
+  /// Records per version: the current one's that decode, and every
+  /// older one's.
+  std::map<std::uint16_t, std::uint64_t> per_version;
+  std::uint64_t older = 0;  ///< records of an earlier version
   std::uint64_t decode_errors = 0;
 };
 
@@ -51,9 +51,14 @@ FileReport load_file(const std::filesystem::path& path, std::uint32_t magic) {
   report.read = medcc::persist::read_record_file(path, magic);
   for (const std::string& payload : report.read.payloads) {
     try {
-      report.entries.push_back(
-          {medcc::service::decode_cache_record(payload),
-           medcc::service::cache_record_version(payload)});
+      const std::uint16_t version =
+          medcc::service::cache_record_version(payload);
+      if (version < medcc::service::kCacheRecordVersion)
+        ++report.older;
+      else
+        report.entries.push_back(
+            medcc::service::decode_cache_record(payload));
+      ++report.per_version[version];
     } catch (const medcc::persist::PersistError&) {
       ++report.decode_errors;
     }
@@ -70,21 +75,17 @@ void print_file_summary(std::string_view name, const FileReport& report) {
   std::cout << report.read.payloads.size() << " records, "
             << report.read.valid_bytes << " valid bytes"
             << (report.read.truncated ? ", TORN TAIL" : "");
-  // decode_cache_record accepts versions 1..kCacheRecordVersion only.
-  std::array<std::uint64_t, medcc::service::kCacheRecordVersion + 1>
-      per_version{};
-  for (const VersionedEntry& e : report.entries) ++per_version[e.version];
-  for (std::size_t v = 1; v < per_version.size(); ++v)
-    std::cout << ", " << per_version[v] << " v" << v;
+  for (const auto& [version, count] : report.per_version)
+    std::cout << ", " << count << " v" << version;
   if (report.decode_errors > 0)
     std::cout << ", " << report.decode_errors << " undecodable";
   std::cout << "\n";
 }
 
-void print_entries(const std::vector<VersionedEntry>& entries) {
-  for (const auto& [entry, version] : entries) {
-    std::cout << "  v" << version << " key=" << std::hex << entry.key.hi
-              << ":" << entry.key.lo << std::dec << " solver=" << entry.solver
+void print_entries(const std::vector<medcc::service::CacheEntry>& entries) {
+  for (const auto& entry : entries) {
+    std::cout << "  key=" << std::hex << entry.key.hi << ":" << entry.key.lo
+              << std::dec << " solver=" << entry.solver
               << " modules=" << entry.schedule.type_of.size()
               << " med=" << entry.med << " cost=" << entry.cost
               << " iterations=" << entry.iterations << " hits=" << entry.hits
@@ -114,12 +115,15 @@ int verify(const std::filesystem::path& dir) {
   print_file_summary("snapshot", snapshot);
   print_file_summary("journal", journal);
   const bool torn = snapshot.read.truncated || journal.read.truncated;
+  const std::uint64_t older = snapshot.older + journal.older;
   const std::uint64_t undecodable =
       snapshot.decode_errors + journal.decode_errors;
   if (torn) std::cout << "verify: torn tail present\n";
+  if (older > 0)
+    std::cout << "verify: " << older << " older-version record(s)\n";
   if (undecodable > 0)
     std::cout << "verify: " << undecodable << " undecodable record(s)\n";
-  if (torn || undecodable > 0) return 1;
+  if (torn || older > 0 || undecodable > 0) return 1;
   std::cout << "verify: ok ("
             << snapshot.entries.size() + journal.entries.size()
             << " records)\n";
@@ -135,33 +139,28 @@ int compact(const std::filesystem::path& dir) {
 
   // Replay order (snapshot then journal) with last-wins per key: keep
   // only each key's final occurrence, preserving replay order among the
-  // survivors, re-encoded in the current record version; undecodable
-  // payloads are dropped.
-  std::vector<const VersionedEntry*> all;
+  // survivors; older-version and undecodable payloads are dropped.
+  std::vector<const medcc::service::CacheEntry*> all;
   for (const FileReport* report : {&snapshot, &journal})
-    for (const VersionedEntry& e : report->entries) all.push_back(&e);
+    for (const auto& entry : report->entries) all.push_back(&entry);
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> last;
   for (std::size_t i = 0; i < all.size(); ++i)
-    last[{all[i]->entry.key.hi, all[i]->entry.key.lo}] = i;
+    last[{all[i]->key.hi, all[i]->key.lo}] = i;
   std::vector<std::string> payloads;
   payloads.reserve(last.size());
-  std::uint64_t upgraded = 0;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (last[{all[i]->entry.key.hi, all[i]->entry.key.lo}] != i) continue;
-    payloads.push_back(medcc::service::encode_cache_record(all[i]->entry));
-    if (all[i]->version != medcc::service::kCacheRecordVersion) ++upgraded;
-  }
+  for (std::size_t i = 0; i < all.size(); ++i)
+    if (last[{all[i]->key.hi, all[i]->key.lo}] == i)
+      payloads.push_back(medcc::service::encode_cache_record(*all[i]));
 
   medcc::persist::write_record_file(dir / medcc::persist::kSnapshotFileName,
                                     medcc::persist::kSnapshotMagic, payloads);
   medcc::persist::write_record_file(dir / medcc::persist::kJournalFileName,
                                     medcc::persist::kJournalMagic, {});
-  const std::uint64_t dropped =
-      snapshot.decode_errors + journal.decode_errors;
   std::cout << "compact: " << payloads.size() << " entries ("
-            << all.size() - payloads.size() << " superseded, " << upgraded
-            << " rewritten as v" << medcc::service::kCacheRecordVersion
-            << ", " << dropped << " undecodable dropped"
+            << all.size() - payloads.size() << " superseded, "
+            << snapshot.older + journal.older << " older-version dropped, "
+            << snapshot.decode_errors + journal.decode_errors
+            << " undecodable dropped"
             << (snapshot.read.truncated || journal.read.truncated
                     ? ", torn tail cut"
                     : "")

@@ -9,10 +9,12 @@
 //    wall-clock solve times per scheduler. --json writes the numbers as a
 //    machine-readable report (uploaded as a CI artifact); --smoke shrinks
 //    the workload so the binary doubles as a ctest check, and fails if the
-//    kernel is not at least 3x faster than the legacy path.
+//    kernel is not at least 3x faster than the legacy path (the median
+//    ratio over alternating rounds timed in thread CPU time).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "sched/gain_loss.hpp"
 #include "sched/genetic.hpp"
 #include "sim/executor.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -126,11 +129,22 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// CPU time the calling thread has run, in seconds. Unlike the wall
+/// clock it stands still while the thread waits for a core, so a busy
+/// host cannot stretch one side of a ratio.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 struct FitnessReport {
   std::size_t modules = 0;
   std::size_t edges = 0;
   std::size_t batch = 0;
   std::size_t reps = 0;
+  std::size_t rounds = 0;
   /// The seed's fitness path: durations() + a full compute_cpm per eval
   /// (dag::makespan delegated to compute_cpm before this optimisation).
   double legacy_us_per_eval = 0.0;
@@ -138,6 +152,7 @@ struct FitnessReport {
   /// CpmResult) -- already part of this optimisation's satellite work.
   double makespan_us_per_eval = 0.0;
   double kernel_us_per_eval = 0.0;
+  /// Medians over the rounds of each round's time ratio.
   double speedup = 0.0;           ///< legacy (seed) vs kernel
   double speedup_makespan = 0.0;  ///< current dag::makespan vs kernel
 };
@@ -148,13 +163,20 @@ struct FitnessReport {
 /// per call), the current forward-only dag::makespan, and the CPM kernel
 /// (weights refilled into a reusable workspace, forward pass only, zero
 /// allocations). All three must agree bitwise.
+///
+/// Each of `rounds` rounds runs `reps` passes over the batch on every
+/// path, timed in thread CPU time; successive rounds reverse the order of
+/// the paths, and the speedups are the median per-round ratios, so a
+/// burst of load on the host moves a round, not the result.
 FitnessReport time_fitness_batch(const medcc::sched::Instance& inst,
-                                 std::size_t batch, std::size_t reps) {
+                                 std::size_t batch, std::size_t reps,
+                                 std::size_t rounds) {
   FitnessReport report;
   report.modules = inst.module_count();
   report.edges = inst.workflow().graph().edge_count();
   report.batch = batch;
   report.reps = reps;
+  report.rounds = rounds;
 
   medcc::util::Prng rng(99);
   std::vector<medcc::sched::Schedule> schedules(batch);
@@ -166,56 +188,86 @@ FitnessReport time_fitness_batch(const medcc::sched::Instance& inst,
   }
 
   const auto& graph = inst.workflow().graph();
-  double legacy_sum = 0.0;
-  const auto legacy_start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < reps; ++r) {
-    for (const auto& s : schedules) {
-      legacy_sum += medcc::dag::compute_cpm(graph,
-                                            medcc::sched::durations(inst, s),
-                                            inst.edge_times())
-                        .makespan;
-    }
-  }
-  const double legacy_seconds = seconds_since(legacy_start);
-
-  double makespan_sum = 0.0;
-  const auto makespan_start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < reps; ++r) {
-    for (const auto& s : schedules) {
-      makespan_sum += medcc::dag::makespan(
-          graph, medcc::sched::durations(inst, s), inst.edge_times());
-    }
-  }
-  const double makespan_seconds = seconds_since(makespan_start);
-
+  const auto legacy = [&] {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < reps; ++r)
+      for (const auto& s : schedules)
+        sum += medcc::dag::compute_cpm(graph,
+                                       medcc::sched::durations(inst, s),
+                                       inst.edge_times())
+                   .makespan;
+    return sum;
+  };
+  const auto forward = [&] {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < reps; ++r)
+      for (const auto& s : schedules)
+        sum += medcc::dag::makespan(graph, medcc::sched::durations(inst, s),
+                                    inst.edge_times());
+    return sum;
+  };
   const auto& flat = inst.flat_dag();
   medcc::dag::CpmWorkspace ws;
   ws.prepare(flat.node_count());
-  double kernel_sum = 0.0;
-  const auto kernel_start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < reps; ++r) {
-    for (const auto& s : schedules) {
-      for (std::size_t i = 0; i < inst.module_count(); ++i)
-        ws.weights[i] = inst.time(i, s.type_of[i]);
-      kernel_sum += medcc::dag::makespan_into(flat, ws);
+  const auto kernel = [&] {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (const auto& s : schedules) {
+        for (std::size_t i = 0; i < inst.module_count(); ++i)
+          ws.weights[i] = inst.time(i, s.type_of[i]);
+        sum += medcc::dag::makespan_into(flat, ws);
+      }
+    }
+    return sum;
+  };
+
+  /// One path's pass: its checksum and thread CPU seconds.
+  struct Pass {
+    double sum = 0.0;
+    double seconds = 0.0;
+  };
+  const auto timed = [](const auto& pass) {
+    const double start = thread_cpu_seconds();
+    const double sum = pass();
+    return Pass{sum, thread_cpu_seconds() - start};
+  };
+  std::vector<double> speedup;
+  std::vector<double> speedup_makespan;
+  double legacy_seconds = 0.0;
+  double makespan_seconds = 0.0;
+  double kernel_seconds = 0.0;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    Pass l, f, k;
+    if (round % 2 == 0) {
+      l = timed(legacy);
+      f = timed(forward);
+      k = timed(kernel);
+    } else {
+      k = timed(kernel);
+      f = timed(forward);
+      l = timed(legacy);
+    }
+    if (l.sum != k.sum || f.sum != k.sum) {
+      std::cerr << "FAIL: kernel fitness diverged from the legacy path ("
+                << k.sum << " vs " << l.sum << " / " << f.sum << ")\n";
+      std::exit(1);
+    }
+    legacy_seconds += l.seconds;
+    makespan_seconds += f.seconds;
+    kernel_seconds += k.seconds;
+    if (k.seconds > 0.0) {
+      speedup.push_back(l.seconds / k.seconds);
+      speedup_makespan.push_back(f.seconds / k.seconds);
     }
   }
-  const double kernel_seconds = seconds_since(kernel_start);
-
-  if (legacy_sum != kernel_sum || makespan_sum != kernel_sum) {
-    std::cerr << "FAIL: kernel fitness diverged from the legacy path ("
-              << kernel_sum << " vs " << legacy_sum << " / " << makespan_sum
-              << ")\n";
-    std::exit(1);
-  }
-  const double evals = static_cast<double>(batch * reps);
+  const double evals = static_cast<double>(batch * reps * rounds);
   report.legacy_us_per_eval = legacy_seconds / evals * 1e6;
   report.makespan_us_per_eval = makespan_seconds / evals * 1e6;
   report.kernel_us_per_eval = kernel_seconds / evals * 1e6;
-  report.speedup =
-      kernel_seconds > 0.0 ? legacy_seconds / kernel_seconds : 0.0;
-  report.speedup_makespan =
-      kernel_seconds > 0.0 ? makespan_seconds / kernel_seconds : 0.0;
+  if (!speedup.empty()) {
+    report.speedup = medcc::util::median(speedup);
+    report.speedup_makespan = medcc::util::median(speedup_makespan);
+  }
   return report;
 }
 
@@ -269,6 +321,7 @@ void write_json(const std::string& path, bool smoke,
       << "    \"edges\": " << fitness.edges << ",\n"
       << "    \"batch\": " << fitness.batch << ",\n"
       << "    \"reps\": " << fitness.reps << ",\n"
+      << "    \"rounds\": " << fitness.rounds << ",\n"
       << "    \"legacy_us_per_eval\": " << fitness.legacy_us_per_eval << ",\n"
       << "    \"makespan_us_per_eval\": " << fitness.makespan_us_per_eval
       << ",\n"
@@ -285,6 +338,9 @@ void write_json(const std::string& path, bool smoke,
       << "}\n";
 }
 
+/// Alternating rounds per fitness comparison (median ratio gated).
+constexpr std::size_t kFitnessRounds = 7;
+
 int run_handtimed(const std::string& json_path, bool smoke) {
   const std::size_t modules = smoke ? 100 : 400;
   const std::size_t batch = smoke ? 32 : 64;
@@ -293,22 +349,24 @@ int run_handtimed(const std::string& json_path, bool smoke) {
 
   // Warm-up rep so lazy one-time costs (page faults, topo memoization)
   // hit neither side of the comparison.
-  (void)time_fitness_batch(inst, batch, 1);
-  const auto fitness = time_fitness_batch(inst, batch, reps);
+  (void)time_fitness_batch(inst, batch, 1, 1);
+  const auto fitness = time_fitness_batch(inst, batch, reps, kFitnessRounds);
   const auto solvers = time_solvers(inst, smoke);
 
   std::cout << "fitness batch (m=" << fitness.modules
             << ", |Ew|=" << fitness.edges << ", " << fitness.batch << "x"
-            << fitness.reps << " evals):\n"
+            << fitness.reps << " evals, " << fitness.rounds
+            << " rounds, thread CPU time):\n"
             << "  legacy compute_cpm     : " << fitness.legacy_us_per_eval
             << " us/eval (the seed's fitness path)\n"
             << "  forward-only makespan  : " << fitness.makespan_us_per_eval
             << " us/eval\n"
             << "  cpm kernel             : " << fitness.kernel_us_per_eval
             << " us/eval\n"
-            << "  speedup vs legacy      : " << fitness.speedup << "x\n"
+            << "  speedup vs legacy      : " << fitness.speedup
+            << "x (median round)\n"
             << "  speedup vs fwd-only    : " << fitness.speedup_makespan
-            << "x\n"
+            << "x (median round)\n"
             << "solve times: cg=" << solvers.critical_greedy_ms
             << " ms, genetic=" << solvers.genetic_ms
             << " ms, annealing=" << solvers.annealing_ms << " ms\n";

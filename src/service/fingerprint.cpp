@@ -72,7 +72,7 @@ struct EdgeKeys {
 struct Workspace {
   std::vector<Lanes> label, in_sum, out_sum, row_key;
   std::vector<EdgeKeys> edges;
-  std::vector<std::uint64_t> tail, sorted;
+  std::vector<std::uint64_t> tail, table;
 };
 
 /// Appends a string as its length, then its bytes in little-endian
@@ -88,12 +88,29 @@ void append_string(std::vector<std::uint64_t>& out, std::string_view s) {
   }
 }
 
-/// True when `hashes` has no duplicates (sorted in `scratch`).
+/// True when `hashes` has no duplicates. The hashes are mix() outputs,
+/// so their low bits index an open-addressing table (`table`) directly:
+/// one pass instead of a sort. 0 marks a free slot, so a zero hash is
+/// tracked on the side.
 bool all_distinct(const std::vector<std::uint64_t>& hashes,
-                  std::vector<std::uint64_t>& scratch) {
-  scratch.assign(hashes.begin(), hashes.end());
-  std::sort(scratch.begin(), scratch.end());
-  return std::adjacent_find(scratch.begin(), scratch.end()) == scratch.end();
+                  std::vector<std::uint64_t>& table) {
+  const std::size_t mask = std::bit_ceil(2 * hashes.size() + 1) - 1;
+  table.assign(mask + 1, 0);
+  bool zero_seen = false;
+  for (const std::uint64_t h : hashes) {
+    if (h == 0) {
+      if (zero_seen) return false;
+      zero_seen = true;
+      continue;
+    }
+    std::size_t slot = h & mask;
+    while (table[slot] != 0) {
+      if (table[slot] == h) return false;
+      slot = (slot + 1) & mask;
+    }
+    table[slot] = h;
+  }
+  return true;
 }
 
 }  // namespace
@@ -238,8 +255,8 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
 
   detail.canonical = {h[0], h[1]};
   detail.exact = exact;
-  detail.modules_distinct = all_distinct(detail.module_hash, ws.sorted);
-  detail.types_distinct = all_distinct(type_hash, ws.sorted);
+  detail.modules_distinct = all_distinct(detail.module_hash, ws.table);
+  detail.types_distinct = all_distinct(type_hash, ws.table);
   detail.type_hash = std::move(type_hash);
   detail.solver = std::string(solver);
   return detail;

@@ -27,13 +27,12 @@
 //  4. Trace overhead (--trace-overhead): the hit-path blast untraced
 //     vs with tracing on end to end (client mints a context per
 //     request, the server records spans/aggregates, head sampling at
-//     its default 1-in-64), both against one server. 41 interleaved
-//     untraced/traced pairs; asserts the median traced/untraced ratio
-//     of process CPU per request stays within 5% -- the budget
-//     docs/observability.md promises for always-on tracing (relaxed to
-//     15% on single-core hosts, where the client's minting serializes
-//     into the measured path instead of overlapping with it). The
-//     wall-clock ratio is reported beside it.
+//     its default 1-in-64). Interleaved best-of-3 each way; asserts
+//     the traced ns/request stays within 5% of the untraced baseline
+//     -- the budget docs/observability.md promises for always-on
+//     tracing (relaxed to 15% on single-core hosts, where the client's
+//     minting serializes into the measured path instead of overlapping
+//     with it).
 //
 // Usage: net_throughput [--requests N] [--threads T] [--connections C]
 //                       [--window W] [--tiles K] [--seed S]
@@ -42,11 +41,9 @@
 // --json writes the numbers under schema "medcc-bench-serving/v1"
 // (documented in docs/perf.md); CI uploads it as the tracked baseline.
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -319,20 +316,12 @@ void write_json(const std::string& path, const Options& opt,
 }
 
 // ---------------------------------------------------------------------
-// --trace-overhead: hit path untraced vs traced, paired runs
+// --trace-overhead: hit path untraced vs traced, best of 3
 // ---------------------------------------------------------------------
 
-/// Per-request medians and overhead quartiles of one measure (process
-/// CPU or wall clock) over the paired rounds.
-struct PairedMeasure {
-  double untraced_ns = 0.0;
-  double traced_ns = 0.0;
-  std::array<double, 3> overhead_pct{};  ///< q1, median, q3
-};
-
 void write_trace_json(const std::string& path, const Options& opt,
-                      int rounds, const PairedMeasure& cpu,
-                      const PairedMeasure& wall,
+                      double untraced_ns, double traced_ns,
+                      double overhead_pct,
                       const medcc::obs::TracerSnapshot& client,
                       const medcc::obs::TracerSnapshot& server) {
   std::ofstream out(path);
@@ -347,18 +336,10 @@ void write_trace_json(const std::string& path, const Options& opt,
       << (opt.smoke ? "trace-overhead-smoke" : "trace-overhead") << "\",\n"
       << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"requests\": " << opt.requests << ",\n"
-      << "  \"rounds\": " << rounds << ",\n"
       << "  \"trace_overhead\": {\n"
-      << "    \"untraced_cpu_ns_op\": " << cpu.untraced_ns << ",\n"
-      << "    \"traced_cpu_ns_op\": " << cpu.traced_ns << ",\n"
-      << "    \"overhead_pct\": " << cpu.overhead_pct[1] << ",\n"
-      << "    \"overhead_q1_pct\": " << cpu.overhead_pct[0] << ",\n"
-      << "    \"overhead_q3_pct\": " << cpu.overhead_pct[2] << ",\n"
-      << "    \"untraced_ns_op\": " << wall.untraced_ns << ",\n"
-      << "    \"traced_ns_op\": " << wall.traced_ns << ",\n"
-      << "    \"wall_overhead_pct\": " << wall.overhead_pct[1] << ",\n"
-      << "    \"wall_overhead_q1_pct\": " << wall.overhead_pct[0] << ",\n"
-      << "    \"wall_overhead_q3_pct\": " << wall.overhead_pct[2] << ",\n"
+      << "    \"untraced_ns_op\": " << untraced_ns << ",\n"
+      << "    \"traced_ns_op\": " << traced_ns << ",\n"
+      << "    \"overhead_pct\": " << overhead_pct << ",\n"
       << "    \"client_contexts_minted\": " << client.started << ",\n"
       << "    \"client_sampled\": " << client.sampled << ",\n"
       << "    \"server_fastpath_spans\": "
@@ -368,17 +349,16 @@ void write_trace_json(const std::string& path, const Options& opt,
       << "  }\n}\n";
 }
 
-/// The --trace-overhead entry point: hit-path runs with tracing off vs
-/// on (default head sampling) against one server, in interleaved
-/// pairs; the median traced/untraced ratio of process CPU per request
-/// must stay within 5%.
+/// The --trace-overhead entry point: hit-path blasts with tracing off
+/// vs on (default head sampling), best of 3 each; the traced path must
+/// stay within 5% of the untraced ns/request.
 int run_trace_overhead_mode(const Options& base_opt,
                             const SchedulingRequest& request) {
-  // A per-request delta of a few percent needs many runs to rise above
-  // loopback scheduling noise; requests are ~1.5us each on the fast
-  // path, so even the lengthened smoke stays well under a second.
+  // A per-request delta of a few percent needs long blasts to rise
+  // above loopback scheduling noise; requests are ~1.5us each on the
+  // fast path, so even the lengthened smoke stays fast.
   Options opt = base_opt;
-  opt.requests = std::max<std::size_t>(opt.requests, 3000);
+  opt.requests = std::max<std::size_t>(opt.requests, 6000);
 
   std::cout << "=== net_throughput --trace-overhead: hit path ===\n"
             << "requests=" << opt.requests << " connections="
@@ -386,129 +366,32 @@ int run_trace_overhead_mode(const Options& base_opt,
             << " sample_every="
             << medcc::obs::Tracer::Config{}.sample_every << "\n\n";
 
-  // Both sides run against ONE server that has its tracer attached. A
-  // plain solve_request carries no context, so on the fast path the
-  // server then does exactly what a tracerless server does; the traced
-  // side pays the whole cost being priced: client minting, the 17-byte
-  // context on the wire, and the server's span accounting. Sharing the
-  // server keeps its reactor's core placement and warm caches out of
-  // the comparison: with a fresh server per run, repeated smoke runs of
-  // one build on a 4-core host ranged from -11% to +24%.
+  // One tracer pair across the traced runs; counters accumulate.
   medcc::obs::Tracer server_tracer;
   medcc::obs::Tracer client_tracer;
-  medcc::service::ServiceConfig service_config;
-  service_config.threads = 2;
-  service_config.queue_capacity = opt.requests + 16;
-  service_config.cache_capacity = 4096;
-  service_config.wire_cache_capacity = 1024;
-  service_config.tracer = &server_tracer;
-  medcc::service::SchedulingService service(std::move(service_config));
-  medcc::net::ServerConfig server_config;
-  server_config.io_threads = 1;
-  server_config.tracer = &server_tracer;
-  medcc::net::Server server(service, server_config);
-
-  MultiClientConfig untraced_config;
-  untraced_config.port = server.port();
-  untraced_config.connections = opt.connections;
-  untraced_config.window = opt.window;
-  MultiClientConfig traced_config = untraced_config;
-  traced_config.tracer = &client_tracer;
-  MultiClient untraced_client(untraced_config);
-  MultiClient traced_client(traced_config);
-
-  // Prime untraced, so the server tracer counts measured requests only.
-  if (untraced_client.run(request, 1).ok != 1) {
-    std::cerr << "FAIL: priming request failed\n";
-    return 1;
+  // Interleaved best-of-N: alternating untraced/traced runs spreads
+  // slow drift (thermal, background load) across both sides instead of
+  // biasing whichever side ran last.
+  constexpr int kRuns = 3;
+  double untraced_ns = 0.0;
+  double traced_ns = 0.0;
+  std::uint64_t traced_fastpath = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    const BlastReport untraced = blast(opt, request, 1, true, 1);
+    if (run == 0 || untraced.ns_per_request < untraced_ns)
+      untraced_ns = untraced.ns_per_request;
+    const BlastReport traced =
+        blast(opt, request, 1, true, 1, &server_tracer, &client_tracer);
+    if (run == 0 || traced.ns_per_request < traced_ns)
+      traced_ns = traced.ns_per_request;
+    traced_fastpath = traced.fastpath_hits;
   }
-  const std::uint64_t primed_hits = server.counters().fastpath_hits;
-
-  // Each run is priced twice per request: by the CPU time this process
-  // spent on it (client thread plus server reactor; the service workers
-  // sit idle on the fast path) and by MultiClient's wall clock
-  // (connected and first window queued before the clock starts). The
-  // gate reads the CPU: it is the work tracing adds, and it stands
-  // still while a thread waits for a core. The wall clock also counts
-  // those waits, so on a busy host it measures the neighbours: under 8
-  // and 16 busy loops on a 4-core host, the paired wall-clock median of
-  // one build read -15.7% to +11.6% over fourteen runs, the CPU median
-  // 1.4% to 2.8%.
-  struct RunCost {
-    double cpu_ns = 0.0;
-    double wall_ns = 0.0;
-  };
-  const auto process_cpu_ns = [] {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e9 +
-           static_cast<double>(ts.tv_nsec);
-  };
-  const auto run_cost = [&](MultiClient& client) {
-    const double cpu_before = process_cpu_ns();
-    const LoadStats stats = client.run(request, opt.requests);
-    const double cpu_ns = process_cpu_ns() - cpu_before;
-    if (stats.ok != opt.requests || stats.failed != 0) {
-      std::cerr << "FAIL: " << stats.ok << " of " << opt.requests
-                << " requests answered (" << stats.failed << " failed)\n";
-      std::exit(1);
-    }
-    const double n = static_cast<double>(stats.ok);
-    return RunCost{cpu_ns / n, stats.wall_seconds * 1e9 / n};
-  };
-
-  // Interleaved rounds, leading side alternating: each round is one
-  // untraced and one traced run back to back, so slow drift (thermal,
-  // background load) cancels within the pair, and the median over the
-  // rounds' traced/untraced ratios drops the pairs a burst of
-  // scheduling noise hit. A best-of-N per side, by contrast, rests on
-  // two single runs: comparing untraced with untraced, it read -6% and
-  // +6% on a 4-core host.
-  constexpr int kRounds = 41;
-  std::vector<RunCost> untraced_runs;
-  std::vector<RunCost> traced_runs;
-  for (int round = 0; round < kRounds; ++round) {
-    if (round % 2 == 0) {
-      untraced_runs.push_back(run_cost(untraced_client));
-      traced_runs.push_back(run_cost(traced_client));
-    } else {
-      traced_runs.push_back(run_cost(traced_client));
-      untraced_runs.push_back(run_cost(untraced_client));
-    }
-  }
-  // Nearest-rank quantile; kRounds is odd, so q = 0.5 is the median.
-  const auto quantile = [](std::vector<double> values, double q) {
-    std::sort(values.begin(), values.end());
-    return values[static_cast<std::size_t>(
-        q * static_cast<double>(values.size() - 1) + 0.5)];
-  };
-  const auto paired = [&](double RunCost::*field) {
-    std::vector<double> untraced;
-    std::vector<double> traced;
-    std::vector<double> ratios;
-    for (std::size_t round = 0; round < untraced_runs.size(); ++round) {
-      untraced.push_back(untraced_runs[round].*field);
-      traced.push_back(traced_runs[round].*field);
-      ratios.push_back(traced.back() / untraced.back());
-    }
-    PairedMeasure m;
-    m.untraced_ns = quantile(untraced, 0.5);
-    m.traced_ns = quantile(traced, 0.5);
-    m.overhead_pct = {(quantile(ratios, 0.25) - 1.0) * 100.0,
-                      (quantile(ratios, 0.5) - 1.0) * 100.0,
-                      (quantile(ratios, 0.75) - 1.0) * 100.0};
-    return m;
-  };
-  const PairedMeasure cpu = paired(&RunCost::cpu_ns);
-  const PairedMeasure wall = paired(&RunCost::wall_ns);
-  const double overhead_pct = cpu.overhead_pct[1];
-  const std::uint64_t measured = opt.requests * kRounds;
-  const medcc::net::Server::Counters counters = server.counters();
-  server.stop();
-  service.shutdown();
 
   const medcc::obs::TracerSnapshot client_snap = client_tracer.snapshot();
   const medcc::obs::TracerSnapshot server_snap = server_tracer.snapshot();
+  const double overhead_pct =
+      untraced_ns > 0.0 ? (traced_ns - untraced_ns) / untraced_ns * 100.0
+                        : 0.0;
 
   // On a single-core host the client's context minting serializes into
   // the server's hit path instead of overlapping with it through the
@@ -518,24 +401,13 @@ int run_trace_overhead_mode(const Options& base_opt,
   const unsigned cores = std::thread::hardware_concurrency();
   const double budget_pct = cores >= 2 ? 5.0 : 15.0;
 
-  medcc::util::Table table(
-      {"hit path", "median CPU ns/req", "median wall ns/req"});
-  table.add_row({"untraced", medcc::util::fmt(cpu.untraced_ns),
-                 medcc::util::fmt(wall.untraced_ns)});
-  table.add_row({"traced (sampled)", medcc::util::fmt(cpu.traced_ns),
-                 medcc::util::fmt(wall.traced_ns)});
-  const auto quartiles = [](const PairedMeasure& m) {
-    return medcc::util::fmt(m.overhead_pct[1]) + "%, quartiles " +
-           medcc::util::fmt(m.overhead_pct[0]) + "% / " +
-           medcc::util::fmt(m.overhead_pct[2]) + "%";
-  };
+  medcc::util::Table table({"hit path", "ns/req"});
+  table.add_row({"untraced", medcc::util::fmt(untraced_ns)});
+  table.add_row({"traced (sampled)", medcc::util::fmt(traced_ns)});
   std::cout << table.render() << "\n"
-            << "trace overhead, CPU (median of " << kRounds
-            << " paired ratios): " << quartiles(cpu) << " (budget "
-            << medcc::util::fmt(budget_pct) << "%"
+            << "trace overhead: " << medcc::util::fmt(overhead_pct)
+            << "% (budget " << medcc::util::fmt(budget_pct) << "%"
             << (cores < 2 ? ", relaxed: single-core host" : "") << ")\n"
-            << "trace overhead, wall clock (not gated): " << quartiles(wall)
-            << "\n"
             << "client contexts minted: " << client_snap.started
             << " (sampled " << client_snap.sampled << ")\n"
             << "server fast-path spans: "
@@ -544,31 +416,24 @@ int run_trace_overhead_mode(const Options& base_opt,
             << "\n";
 
   if (!opt.json_path.empty())
-    write_trace_json(opt.json_path, opt, kRounds, cpu, wall, client_snap,
-                     server_snap);
+    write_trace_json(opt.json_path, opt, untraced_ns, traced_ns,
+                     overhead_pct, client_snap, server_snap);
 
-  // Every measured request, traced or not, must have been served on
-  // the fast path, and every traced one traced there.
-  if (counters.fastpath_hits - primed_hits < 2 * measured) {
-    std::cerr << "FAIL: measured runs left the fast path ("
-              << counters.fastpath_hits - primed_hits << " of "
-              << 2 * measured << " hits)\n";
+  // The traced stream must actually have been traced, on the fast path.
+  if (traced_fastpath < opt.requests) {
+    std::cerr << "FAIL: traced run left the fast path (" << traced_fastpath
+              << " of " << opt.requests << " hits)\n";
     return 1;
   }
-  if (client_snap.started < measured) {
+  if (client_snap.started < static_cast<std::uint64_t>(opt.requests)) {
     std::cerr << "FAIL: client minted " << client_snap.started
-              << " trace contexts for " << measured
+              << " trace contexts for " << opt.requests * kRuns
               << " traced requests\n";
     return 1;
   }
-  if (counters.traced_solves < measured ||
-      server_snap.stages[static_cast<std::size_t>(
-          medcc::obs::Stage::wire_fastpath)].count < measured) {
-    std::cerr << "FAIL: server traced "
-              << server_snap.stages[static_cast<std::size_t>(
-                     medcc::obs::Stage::wire_fastpath)].count
-              << " fast-path spans for " << measured
-              << " traced requests\n";
+  if (server_snap.stages[static_cast<std::size_t>(
+          medcc::obs::Stage::wire_fastpath)].count == 0) {
+    std::cerr << "FAIL: server tracer recorded no fast-path spans\n";
     return 1;
   }
   if (overhead_pct > budget_pct) {

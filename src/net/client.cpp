@@ -391,14 +391,10 @@ LoadStats MultiClient::run(const service::SchedulingRequest& request,
   if (total == 0) return stats;
 
   obs::Tracer* const tracer = config_.tracer;
-  // Traced frames get their context patched in per send (below), from a
-  // block of mint positions reserved here in one go.
   const std::string frame =
       tracer != nullptr
-          ? encode_traced_solve_request(request, obs::TraceContext{}, 0)
+          ? encode_traced_solve_request(request, tracer->new_context(), 0)
           : encode_solve_request(request, 0);
-  std::uint64_t next_trace =
-      tracer != nullptr ? tracer->reserve_contexts(total) : 0;
   const std::size_t n_conns =
       std::min(std::max<std::size_t>(1, config_.connections), total);
   const std::size_t window = std::max<std::size_t>(1, config_.window);
@@ -419,7 +415,7 @@ LoadStats MultiClient::run(const service::SchedulingRequest& request,
       conn.outbuf.append(frame);
       patch_request_id(conn.outbuf, at, next_id);
       if (tracer != nullptr)
-        patch_trace_context(conn.outbuf, at, tracer->context_at(next_trace++));
+        patch_trace_context(conn.outbuf, at, tracer->new_context());
       conn.in_flight.emplace(next_id, std::chrono::steady_clock::now());
       ++next_id;
       ++assigned;

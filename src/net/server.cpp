@@ -376,55 +376,27 @@ void Server::process_inbuf(Reactor& r, Connection& conn) {
       conn.reading = false;
       conn.close_after_flush = true;
       queue_output(r, conn, encode_error(e.code(), e.what(), 0));
-      break;
+      return;
     }
     if (conn.inbuf.size() < kHeaderSize + header.body_size) break;
     const std::string_view body =
         std::string_view(conn.inbuf).substr(kHeaderSize, header.body_size);
-    // One stamp per frame: the start of this frame's spans and the end
-    // of the previous frame's open fast-path hit.
-    const std::int64_t started_ns = obs::Tracer::now_ns();
-    close_open_hit(r, started_ns);
-    handle_frame(r, conn, header, body, started_ns);
+    handle_frame(r, conn, header, body);
     conn.inbuf.erase(0, kHeaderSize + header.body_size);
   }
-  if (r.open_hit.valid()) close_open_hit(r, obs::Tracer::now_ns());
-  // Responses go out from conn_writable, after this pass returns, so a
-  // client that reads one of them also sees these counts.
-  if (r.traced_frames != 0) {
-    traced_solves_.add(r.traced_frames);
-    r.traced_frames = 0;
-  }
-  if (r.traced_hits != 0) {
-    config_.tracer->note_stages(obs::Stage::wire_fastpath, r.traced_hits,
-                                r.traced_hit_ns);
-    r.traced_hits = 0;
-    r.traced_hit_ns = 0;
-  }
-}
-
-void Server::close_open_hit(Reactor& r, std::int64_t ended_ns) {
-  if (!r.open_hit.valid()) return;
-  ++r.traced_hits;
-  r.traced_hit_ns += ended_ns > r.open_hit_ns
-                         ? static_cast<std::uint64_t>(ended_ns - r.open_hit_ns)
-                         : 0;
-  config_.tracer->keep_span(r.open_hit, obs::Stage::wire_fastpath,
-                            r.open_hit_ns, ended_ns, config_.node_id);
-  r.open_hit = obs::TraceContext{};
 }
 
 void Server::handle_frame(Reactor& r, Connection& conn,
-                          const FrameHeader& header, std::string_view body,
-                          std::int64_t started_ns) {
+                          const FrameHeader& header, std::string_view body) {
   frames_in_.add();
   switch (header.type) {
     case FrameType::solve_request: {
       handle_solve(r, conn, header.request_id, body, obs::TraceContext{},
-                   started_ns);
+                   obs::Tracer::now_ns());
       return;
     }
     case FrameType::traced_solve_request: {
+      const std::int64_t started_ns = obs::Tracer::now_ns();
       TracedSolveBody split;
       try {
         split = split_traced_solve_request(body);
@@ -434,7 +406,7 @@ void Server::handle_frame(Reactor& r, Connection& conn,
                      encode_error(e.code(), e.what(), header.request_id));
         return;
       }
-      ++r.traced_frames;
+      traced_solves_.add();
       // A tracerless server still answers: the prefix is pure metadata,
       // so it is stripped and forgotten rather than refused.
       handle_solve(
@@ -607,13 +579,11 @@ void Server::handle_solve(Reactor& r, Connection& conn,
       fastpath_hits_.add();
       service_.metrics().note_wire_fastpath(true);
       if (tracer != nullptr && trace.valid()) {
-        // Single-span, allocation-free accounting, left open for
-        // process_inbuf to close with its next stamp and tally for the
-        // end of the pass: no span buffer, no clock read, no shared
-        // write per hit (the <5% fast-path budget, bench/net_throughput
-        // --trace-overhead).
-        r.open_hit = trace;
-        r.open_hit_ns = started_ns;
+        // Single-span, allocation-free accounting: the hit's duration
+        // is already known, so no span buffer is opened (the <5%
+        // fast-path budget, bench/net_throughput --trace-overhead).
+        tracer->record_span(trace, obs::Stage::wire_fastpath, started_ns,
+                            obs::Tracer::now_ns(), config_.node_id);
       }
       queue_cached_frame(r, conn, *frame, request_id);
       return;

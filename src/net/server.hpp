@@ -231,18 +231,6 @@ private:
     std::shared_ptr<CompletionQueue> completions;
     util::BufferPool pool;  // internally locked; used by this thread only
     std::unordered_map<std::uint64_t, Connection> connections;
-    /// Traced frames and traced wire fast-path hits of the current
-    /// process_inbuf pass, tallied without atomics and folded into
-    /// traced_solves_ and the tracer once per pass -- before any
-    /// response of the pass is sent.
-    std::uint64_t traced_frames = 0;
-    std::uint64_t traced_hits = 0;
-    std::uint64_t traced_hit_ns = 0;
-    /// The traced fast-path hit whose span is still open: it ends at
-    /// the next frame's start stamp (or the end of the pass), so a
-    /// traced hit costs no clock read of its own.
-    obs::TraceContext open_hit;
-    std::int64_t open_hit_ns = 0;
     std::thread thread;  // started last in the constructor
   };
 
@@ -255,13 +243,9 @@ private:
   /// stops early when the stream is poisoned or reading is paused.
   void process_inbuf(Reactor& r, Connection& conn);
   void conn_writable(Reactor& r, Connection& conn);
-  /// Handles one complete frame, which arrived by `started_ns`; may
-  /// queue output or dispatch a solve.
+  /// Handles one complete frame; may queue output or dispatch a solve.
   void handle_frame(Reactor& r, Connection& conn, const FrameHeader& header,
-                    std::string_view body, std::int64_t started_ns);
-  /// Closes r.open_hit, if any, at `ended_ns`: tallies its wire_fastpath
-  /// span and hands it to the tracer's sampling and slow gates.
-  void close_open_hit(Reactor& r, std::int64_t ended_ns);
+                    std::string_view body);
   /// Shared tail of solve_request and traced_solve_request: wire-cache
   /// fast path keyed on the inner (trace-free) request bytes, flow
   /// control, decode, dispatch. `trace` is invalid for untraced frames;

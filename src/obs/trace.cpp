@@ -145,20 +145,10 @@ std::int64_t Tracer::now_ns() {
 TraceContext Tracer::new_context() {
   if (!config_.enabled) return {};
   // One relaxed fetch_add is the whole synchronization cost: the mint
-  // sequence doubles as the `started` counter.
-  return context_at(started_.fetch_add(1));
-}
-
-std::uint64_t Tracer::reserve_contexts(std::uint64_t n) {
-  if (!config_.enabled) return 0;
-  return started_.fetch_add(n);
-}
-
-TraceContext Tracer::context_at(std::uint64_t seq) {
-  if (!config_.enabled) return {};
-  // The two mix64 avalanches of consecutive stream positions give
-  // independent, well-spread halves (exactly the SplitMix64
-  // construction).
+  // sequence doubles as the `started` counter, and the two mix64
+  // avalanches of consecutive stream positions give independent,
+  // well-spread halves (exactly the SplitMix64 construction).
+  const std::uint64_t seq = started_.fetch_add(1);
   const std::uint64_t stream = (seq ^ salt_ ^ thread_seed()) * 2;
   TraceContext context;
   context.id.hi = mix64(stream);
@@ -186,17 +176,14 @@ void Tracer::record(const std::shared_ptr<Trace>& trace, Stage stage,
 }
 
 void Tracer::note_stage(Stage stage, std::int64_t duration_ns) {
-  note_stages(stage, 1,
-              duration_ns > 0 ? static_cast<std::uint64_t>(duration_ns) : 0);
-}
-
-void Tracer::note_stages(Stage stage, std::uint64_t count,
-                         std::uint64_t total_ns) {
   if (!config_.enabled) return;
   const std::size_t shard = thread_seed() % kShards;
   auto& cell = stages_[shard][static_cast<std::size_t>(stage)];
-  cell.count.fetch_add(count, std::memory_order_relaxed);
-  cell.total_ns.fetch_add(total_ns, std::memory_order_relaxed);
+  cell.count.fetch_add(1, std::memory_order_relaxed);
+  cell.total_ns.fetch_add(duration_ns > 0
+                              ? static_cast<std::uint64_t>(duration_ns)
+                              : 0,
+                          std::memory_order_relaxed);
 }
 
 void Tracer::finish(const std::shared_ptr<Trace>& trace,
@@ -229,13 +216,7 @@ void Tracer::record_span(const TraceContext& context, Stage stage,
                          std::string_view origin) {
   if (!config_.enabled) return;
   note_stage(stage, end_ns - start_ns);
-  keep_span(context, stage, start_ns, end_ns, origin);
-}
-
-void Tracer::keep_span(const TraceContext& context, Stage stage,
-                       std::int64_t start_ns, std::int64_t end_ns,
-                       std::string_view origin) {
-  if (!config_.enabled || !context.valid()) return;
+  if (!context.valid()) return;
   const bool slow =
       config_.slow_ms > 0.0 &&
       static_cast<double>(end_ns - start_ns) >= config_.slow_ms * 1e6;

@@ -17,9 +17,7 @@
 //  * Aggregate per-stage accounting (count + total ns) is ALWAYS on and
 //    is the only thing an unsampled request pays: one relaxed
 //    PaddedAtomic add per stage into a thread-hashed shard -- no locks,
-//    no allocation, no shared cache line. A thread that tallies a batch
-//    itself (the server reactor's wire fast path) folds it in with one
-//    note_stages call.
+//    no allocation, no shared cache line.
 //  * Span capture is head-sampled 1-in-N (Config::sample_every) at the
 //    moment the trace id is minted; a sampled request carries a small
 //    fixed-capacity span buffer (one allocation per sampled request).
@@ -190,18 +188,6 @@ public:
   /// an atomic counter); returns an invalid context when disabled.
   [[nodiscard]] TraceContext new_context();
 
-  /// Reserves `n` consecutive mint positions with one counter add (they
-  /// count as minted) and returns the first; context_at(first + i) for
-  /// i < n then mints with no further shared-state write. For senders
-  /// that know their request count up front (MultiClient::run): there
-  /// a locked add per request shows in the measured hit path. Reserves
-  /// nothing when disabled.
-  [[nodiscard]] std::uint64_t reserve_contexts(std::uint64_t n);
-
-  /// The context at a position from reserve_contexts -- new_context()
-  /// is context_at(one fresh position). Invalid when disabled.
-  [[nodiscard]] TraceContext context_at(std::uint64_t seq);
-
   /// Opens the span buffer for a request. Non-null when tracing is on
   /// and the request is head-sampled OR the slow gate is armed (every
   /// request is then a slow candidate). Null means: aggregate-only.
@@ -216,33 +202,20 @@ public:
   /// (e.g. the unsampled wire-cache fast path). Lock-free.
   void note_stage(Stage stage, std::int64_t duration_ns);
 
-  /// note_stage for `count` spans totalling `total_ns` at once: one
-  /// pair of relaxed adds for a batch a single thread tallied locally
-  /// (the server reactor's traced wire fast-path hits).
-  void note_stages(Stage stage, std::uint64_t count, std::uint64_t total_ns);
-
   /// Completes a trace: retains it in the ring when it was head-sampled
   /// or its wall time crossed slow_ms. Safe with trace == nullptr.
   void finish(const std::shared_ptr<Trace>& trace, std::string_view origin);
 
   /// Single-span accounting for paths whose whole journey is one
-  /// interval and whose duration is known up front: aggregates always,
-  /// and retains a one-span ring entry when the context was sampled OR
-  /// the interval crossed the slow gate. No span buffer, no
-  /// allocation. The server's zero-copy wire-cache hit goes further
-  /// and splits this into keep_span per hit plus note_stages per read
-  /// pass (its <5% budget, bench/net_throughput --trace-overhead).
+  /// interval and whose duration is known up front (the zero-copy
+  /// wire-cache hit): aggregates always, and retains a one-span ring
+  /// entry when the context was sampled OR the interval crossed the
+  /// slow gate. No span buffer, no allocation -- this is what keeps
+  /// tracing within its <5% fast-path budget (bench/net_throughput
+  /// --trace-overhead).
   void record_span(const TraceContext& context, Stage stage,
                    std::int64_t start_ns, std::int64_t end_ns,
                    std::string_view origin);
-
-  /// record_span minus the aggregates, for callers that tally those
-  /// themselves (note_stages): retains the one-span ring entry when the
-  /// context was sampled or the interval crossed the slow gate, and
-  /// does nothing -- no allocation, no shared write -- otherwise.
-  void keep_span(const TraceContext& context, Stage stage,
-                 std::int64_t start_ns, std::int64_t end_ns,
-                 std::string_view origin);
 
   /// Adopts one remotely originated span (e.g. repl_apply on the node
   /// that received the record): record_span keyed by the ORIGINAL

@@ -36,9 +36,6 @@ using medcc::net::ClientConfig;
 using medcc::net::CodecError;
 using medcc::net::FrameHeader;
 using medcc::net::FrameType;
-using medcc::net::LoadStats;
-using medcc::net::MultiClient;
-using medcc::net::MultiClientConfig;
 using medcc::net::NetError;
 using medcc::net::Server;
 using medcc::net::ServerConfig;
@@ -318,62 +315,6 @@ TEST(NetTrace, TracedSolveLandsInTheServersTraceDump) {
   }
   EXPECT_TRUE(found) << "trace id not present in dump";
   EXPECT_GT(dump.stages[static_cast<std::size_t>(Stage::request)].count, 0u);
-}
-
-TEST(NetTrace, TracedFastPathHitsAreCountedAndSpanned) {
-  // A pipelined blast of one traced request: the first is solved, the
-  // rest are wire fast-path hits, which the reactor tallies per pass.
-  // Every hit must still reach the aggregates and, sampled, the ring.
-  Tracer::Config trace_config;
-  trace_config.sample_every = 1;
-  trace_config.ring_capacity = 1024;
-  Tracer server_tracer(trace_config);
-  Tracer client_tracer(trace_config);
-
-  ServiceConfig service_config;
-  service_config.threads = 1;
-  service_config.tracer = &server_tracer;
-  SchedulingService service(service_config);
-  ServerConfig server_config;
-  server_config.node_id = "hit-node";
-  server_config.tracer = &server_tracer;
-  Server server(service, server_config);
-
-  MultiClientConfig client_config;
-  client_config.port = server.port();
-  client_config.connections = 2;
-  client_config.window = 8;
-  client_config.tracer = &client_tracer;
-  MultiClient client(client_config);
-  constexpr std::uint64_t kRequests = 200;
-  const LoadStats stats =
-      client.run(request_for(example_instance(), 57.0), kRequests);
-  ASSERT_EQ(stats.ok, kRequests);
-
-  // Exactly one context per request: none minted for the frame template.
-  EXPECT_EQ(client_tracer.snapshot().started, kRequests);
-  const Server::Counters counters = server.counters();
-  EXPECT_EQ(counters.traced_solves, kRequests);
-  ASSERT_GT(counters.fastpath_hits, 0u);
-  const medcc::obs::StageStat hits =
-      server_tracer.snapshot()
-          .stages[static_cast<std::size_t>(Stage::wire_fastpath)];
-  EXPECT_EQ(hits.count, counters.fastpath_hits);
-
-  std::uint64_t kept = 0;
-  std::int64_t kept_ns = 0;
-  for (const TraceRecord& record : server_tracer.recent(1024)) {
-    if (record.spans.size() != 1 ||
-        record.spans[0].stage != Stage::wire_fastpath)
-      continue;
-    ++kept;
-    EXPECT_EQ(record.origin, "hit-node");
-    EXPECT_GE(record.total_ns, 0);
-    EXPECT_EQ(record.total_ns, record.spans[0].duration_ns());
-    kept_ns += record.total_ns;
-  }
-  EXPECT_EQ(kept, counters.fastpath_hits);
-  EXPECT_EQ(static_cast<std::uint64_t>(kept_ns), hits.total_ns);
 }
 
 TEST(NetTrace, ResponseBytesAreIdenticalWithTracingOnAndOff) {

@@ -106,41 +106,6 @@ TEST(Tracer, SamplingIsDerivedFromTheIdItself) {
   EXPECT_EQ(tracer.snapshot().sampled, sampled);
 }
 
-TEST(Tracer, ReservedPositionsMintLikeNewContext) {
-  Tracer::Config config;
-  config.sample_every = 4;
-  Tracer tracer(config);
-  const TraceContext first = tracer.new_context();
-  // A reserved block counts as minted at once; minting from it writes
-  // nothing shared except the rare sampled count.
-  const std::uint64_t base = tracer.reserve_contexts(1000);
-  EXPECT_EQ(base, 1u);
-  EXPECT_EQ(tracer.snapshot().started, 1001u);
-  std::set<std::string> seen{first.id.to_hex()};
-  std::uint64_t sampled = first.sampled ? 1 : 0;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    const TraceContext context = tracer.context_at(base + i);
-    ASSERT_TRUE(context.valid());
-    EXPECT_EQ(context.sampled, context.id.lo % 4 == 0);
-    if (context.sampled) ++sampled;
-    seen.insert(context.id.to_hex());
-  }
-  EXPECT_EQ(seen.size(), 1001u);
-  EXPECT_EQ(tracer.snapshot().started, 1001u);
-  EXPECT_EQ(tracer.snapshot().sampled, sampled);
-  // Positions after the block belong to the next mint.
-  EXPECT_EQ(tracer.new_context().id, tracer.context_at(1001).id);
-}
-
-TEST(Tracer, DisabledTracerReservesNothing) {
-  Tracer::Config config;
-  config.enabled = false;
-  Tracer tracer(config);
-  EXPECT_EQ(tracer.reserve_contexts(10), 0u);
-  EXPECT_FALSE(tracer.context_at(0).valid());
-  EXPECT_EQ(tracer.snapshot().started, 0u);
-}
-
 TEST(Tracer, NonPowerOfTwoSamplingStillWorks) {
   Tracer::Config config;
   config.sample_every = 3;  // exercises the modulo fallback path
@@ -299,39 +264,6 @@ TEST(Tracer, RecordSpanRetainsSampledAndSlowOnly) {
   tracer.record_span(TraceContext{}, Stage::wire_fastpath, 0, 60'000'000,
                      "node-a");
   EXPECT_EQ(tracer.recent(8).size(), 2u);
-}
-
-TEST(Tracer, KeepSpanRetainsButLeavesAggregatesToTheCaller) {
-  Tracer::Config config;
-  config.sample_every = 0;
-  config.slow_ms = 25.0;
-  Tracer tracer(config);
-  const auto fastpath = [&tracer] {
-    return tracer.snapshot()
-        .stages[static_cast<std::size_t>(Stage::wire_fastpath)];
-  };
-
-  tracer.keep_span(TraceContext{TraceId{2, 1}, false}, Stage::wire_fastpath,
-                   0, 1000, "node-a");
-  EXPECT_EQ(tracer.recent(8).size(), 0u);
-  tracer.keep_span(TraceContext{TraceId{2, 2}, true}, Stage::wire_fastpath,
-                   0, 1000, "node-a");
-  tracer.keep_span(TraceContext{TraceId{2, 3}, false}, Stage::wire_fastpath,
-                   0, 60'000'000, "node-a");
-  tracer.keep_span(TraceContext{}, Stage::wire_fastpath, 0, 60'000'000,
-                   "node-a");
-  const std::vector<TraceRecord> recent = tracer.recent(8);
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0].id, (TraceId{2, 3}));
-  EXPECT_TRUE(recent[0].slow);
-  EXPECT_EQ(recent[1].id, (TraceId{2, 2}));
-  EXPECT_FALSE(recent[1].slow);
-  EXPECT_EQ(fastpath().count, 0u);
-
-  // The batched aggregate: one call, many spans.
-  tracer.note_stages(Stage::wire_fastpath, 3, 4500);
-  EXPECT_EQ(fastpath().count, 3u);
-  EXPECT_EQ(fastpath().total_ns, 4500u);
 }
 
 TEST(Tracer, RecordRemoteAdoptsTheOriginalId) {

@@ -67,14 +67,6 @@ struct EdgeKeys {
   Lanes out;  ///< folded into src's out-sum with dst's label
 };
 
-/// Scratch arrays reused across calls on one thread, so a call allocates
-/// only the vectors it returns.
-struct Workspace {
-  std::vector<Lanes> label, in_sum, out_sum, row_key;
-  std::vector<EdgeKeys> edges;
-  std::vector<std::uint64_t> tail, table;
-};
-
 /// Appends a string as its length, then its bytes in little-endian
 /// 8-byte words (the last one zero-padded).
 void append_string(std::vector<std::uint64_t>& out, std::string_view s) {
@@ -88,29 +80,10 @@ void append_string(std::vector<std::uint64_t>& out, std::string_view s) {
   }
 }
 
-/// True when `hashes` has no duplicates. The hashes are mix() outputs,
-/// so their low bits index an open-addressing table (`table`) directly:
-/// one pass instead of a sort. 0 marks a free slot, so a zero hash is
-/// tracked on the side.
-bool all_distinct(const std::vector<std::uint64_t>& hashes,
-                  std::vector<std::uint64_t>& table) {
-  const std::size_t mask = std::bit_ceil(2 * hashes.size() + 1) - 1;
-  table.assign(mask + 1, 0);
-  bool zero_seen = false;
-  for (const std::uint64_t h : hashes) {
-    if (h == 0) {
-      if (zero_seen) return false;
-      zero_seen = true;
-      continue;
-    }
-    std::size_t slot = h & mask;
-    while (table[slot] != 0) {
-      if (table[slot] == h) return false;
-      slot = (slot + 1) & mask;
-    }
-    table[slot] = h;
-  }
-  return true;
+/// True when the sorted copy of `hashes` has no duplicates.
+bool all_distinct(std::vector<std::uint64_t> hashes) {
+  std::sort(hashes.begin(), hashes.end());
+  return std::adjacent_find(hashes.begin(), hashes.end()) == hashes.end();
 }
 
 }  // namespace
@@ -139,7 +112,6 @@ bool all_distinct(const std::vector<std::uint64_t>& hashes,
 FingerprintDetail fingerprint_instance(const sched::Instance& instance,
                                        double budget, std::string_view solver,
                                        std::string_view config) {
-  static thread_local Workspace ws;
   const auto& wf = instance.workflow();
   const auto& graph = wf.graph();
   const auto& catalog = instance.catalog();
@@ -148,11 +120,10 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
   const std::size_t edges = graph.edge_count();
 
   // The scalar tail every chain ends with.
-  auto& tail = ws.tail;
-  tail.assign({bits(budget), bits(instance.billing().quantum()),
-               bits(instance.network().bandwidth),
-               bits(instance.network().link_delay),
-               bits(instance.network().transfer_cost_rate)});
+  std::vector<std::uint64_t> tail = {
+      bits(budget), bits(instance.billing().quantum()),
+      bits(instance.network().bandwidth), bits(instance.network().link_delay),
+      bits(instance.network().transfer_cost_rate)};
   append_string(tail, solver);
   append_string(tail, config);
   const std::uint64_t sizes[] = {m, edges, n};
@@ -161,7 +132,7 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
 
   // Types: hashes and per-run row keys.
   std::vector<std::uint64_t> type_hash(n);
-  ws.row_key.resize(n);
+  std::vector<Lanes> row_key(n);
   Lanes type_sum{};
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint64_t power = bits(catalog.type(j).processing_power);
@@ -169,15 +140,14 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
     for (const int k : {0, 1}) {
       const std::uint64_t t =
           fold(fold(fold(kSeeds[k], kTypesTag), power), rate);
-      ws.row_key[j][k] = fold(t, kRowTag);
+      row_key[j][k] = fold(t, kRowTag);
       type_sum[k] += mix(t);
       if (k == 0) type_hash[j] = t;
     }
   }
 
   // Initial labels from the TE/CE rows, and the exact hash's module part.
-  auto& label = ws.label;
-  label.resize(m);
+  std::vector<Lanes> label(m);
   for (workflow::NodeId i = 0; i < m; ++i) {
     const bool fixed = wf.module(i).is_fixed();
     exact = fold(exact, fixed ? kFixedTag : kComputingTag);
@@ -186,16 +156,16 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
       const std::uint64_t cell = mix_pair(instance.time(i, j),
                                           instance.cost(i, j));
       exact = fold(exact, cell);
-      for (const int k : {0, 1}) rows[k] += mix(cell ^ ws.row_key[j][k]);
+      for (const int k : {0, 1}) rows[k] += mix(cell ^ row_key[j][k]);
     }
     const Lanes& start = fixed ? kFixedStart : kComputingStart;
     for (const int k : {0, 1}) label[i][k] = fold(start[k], rows[k]);
   }
 
   // Edge keys, hashed once; the exact hash takes its edge part on the way.
-  ws.edges.resize(edges);
+  std::vector<EdgeKeys> edge_keys(edges);
   for (dag::EdgeId e = 0; e < edges; ++e) {
-    EdgeKeys& edge = ws.edges[e];
+    EdgeKeys& edge = edge_keys[e];
     edge.src = graph.edge(e).src;
     edge.dst = graph.edge(e).dst;
     const std::uint64_t key = mix_pair(wf.data_size(e), instance.edge_time(e));
@@ -218,12 +188,9 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
   // mix per edge, run and direction; the sums are cleared as they are
   // consumed.
   const int rounds = 2 + std::bit_width(static_cast<std::uint64_t>(m) + 1);
-  auto& in_sum = ws.in_sum;
-  auto& out_sum = ws.out_sum;
-  in_sum.assign(m, Lanes{});
-  out_sum.assign(m, Lanes{});
+  std::vector<Lanes> in_sum(m), out_sum(m);
   for (int round = 0; round < rounds; ++round) {
-    for (const EdgeKeys& edge : ws.edges) {
+    for (const EdgeKeys& edge : edge_keys) {
       for (const int k : {0, 1}) {
         in_sum[edge.dst][k] += mix(label[edge.src][k] ^ edge.in[k]);
         out_sum[edge.src][k] += mix(label[edge.dst][k] ^ edge.out[k]);
@@ -255,8 +222,8 @@ FingerprintDetail fingerprint_instance(const sched::Instance& instance,
 
   detail.canonical = {h[0], h[1]};
   detail.exact = exact;
-  detail.modules_distinct = all_distinct(detail.module_hash, ws.table);
-  detail.types_distinct = all_distinct(type_hash, ws.table);
+  detail.modules_distinct = all_distinct(detail.module_hash);
+  detail.types_distinct = all_distinct(type_hash);
   detail.type_hash = std::move(type_hash);
   detail.solver = std::string(solver);
   return detail;
